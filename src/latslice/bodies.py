@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from . import hull, lp
+from . import hull, lattices, lp
 from .errors import (
     BodyFormatError,
     DegenerateBodyError,
@@ -105,6 +105,11 @@ class ConvexBody:
             q = Fraction(b)
             out.append((tuple(x * q.denominator for x in a), q.numerator))
         return out
+
+    @cached_property
+    def lattice_points(self) -> tuple[tuple[int, ...], ...]:
+        """K ∩ Z^d in ascending lex order: listed once, freed with the body."""
+        return tuple(lattices._listing(self))
 
     @cached_property
     def _exact_volume(self) -> Fraction:

@@ -1,16 +1,22 @@
 """Lattices, lattice subspaces, and exact lattice-point enumeration.
 
-The enumeration core works on integer inequality rows with per-axis
-interval propagation: fixing coordinates left to right, each row yields
-integer bounds for the next coordinate from exact suffix minima over the
-bounding box, and the final coordinate's range is exact.  Points are
-produced in ascending lexicographic order.
+One kernel, ``_runs``, solves integer inequality rows inside an integer
+box by per-axis interval propagation: fixing coordinates left to right on
+an explicit stack, each row yields integer bounds for the next coordinate
+from exact suffix minima over the box, and the final coordinate's range is
+exact.  It yields last-axis runs (prefix, lo, hi) in ascending
+lexicographic order; counting sums the run lengths, listing expands them.
+
+K ∩ Z^d at scale 1 is listed once per body and cached as
+``ConvexBody.lattice_points``; ``enumerate_points`` copies it for that
+lattice and scale, and ``count_points`` never lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 
 from .errors import DimensionMismatchError, SubspaceError
 from .linalg import (
@@ -23,6 +29,7 @@ from .linalg import (
     primitive,
     row_hnf,
     saturate_span,
+    solve_rational,
 )
 
 __all__ = [
@@ -80,8 +87,6 @@ class Lattice:
 
     def contains(self, point) -> bool:
         """Exact membership: point = B y for an integer y."""
-        from .linalg import solve_rational
-
         v = tuple(Fraction(x) for x in point)
         if len(v) != self.dim:
             raise DimensionMismatchError("point length differs from lattice dim")
@@ -177,142 +182,99 @@ class LatticeSubspace:
 # -- enumeration core -----------------------------------------------------------
 
 
-def _floor_div(p, q):
-    return p // q
+def _runs(rows, box):
+    """Yield the integer solutions of rows inside box as last-axis runs.
 
-
-def _ceil_div(p, q):
-    return -((-p) // q)
-
-
-def _prepare(rows, box):
-    """Precompute suffix minima of each row over the box for pruning."""
+    A run (prefix, lo, hi) stands for the points prefix + (x,) with
+    lo <= x <= hi, and runs come in ascending lexicographic order.  The
+    leading axes are walked depth first on an explicit stack, each row
+    bounding the next coordinate through its suffix minimum over the box.
+    """
     n = len(box)
-    pre = []
-    for a, b in rows:
+    if n == 0:
+        return
+    minrems = []
+    for a, _ in rows:
         minrem = [0] * (n + 1)
         for t in range(n - 1, -1, -1):
             lo, hi = box[t]
             minrem[t] = minrem[t + 1] + min(a[t] * lo, a[t] * hi)
-        pre.append((a, b, minrem))
-    return pre
-
-
-def _scan(rows, box, collect, prefix_cb=None):
-    """Depth-first scan; calls collect(point) per solution in lex order."""
-    n = len(box)
-    if n == 0:
-        return
-    pre = _prepare(rows, box)
-
-    def descend(t, residuals, prefix):
+        minrems.append(minrem)
+    coef = [tuple(a[t] for a, _ in rows) for t in range(n)]
+    tail = [tuple(minrem[t + 1] for minrem in minrems) for t in range(n)]
+    stack = [(0, (), [b for _, b in rows])]
+    while stack:
+        t, prefix, residuals = stack.pop()
         lo, hi = box[t]
-        for (a, b, minrem), res in zip(pre, residuals):
-            at = a[t]
-            rem = res - minrem[t + 1]
+        for at, low, res in zip(coef[t], tail[t], residuals):
+            rem = res - low
             if at > 0:
-                hi = min(hi, _floor_div(rem, at))
+                hi = min(hi, rem // at)
             elif at < 0:
-                lo = max(lo, _ceil_div(rem, at))
-            elif res < minrem[t + 1]:
-                return
+                lo = max(lo, -(-rem // at))
+            elif rem < 0:
+                hi = lo - 1
+                break
         if lo > hi:
-            return
+            continue
         if t == n - 1:
-            for x in range(lo, hi + 1):
-                collect(prefix + (x,))
-            return
-        for x in range(lo, hi + 1):
-            nxt = [res - pr[0][t] * x for pr, res in zip(pre, residuals)]
-            descend(t + 1, nxt, prefix + (x,))
-
-    descend(0, [b for _, b, _ in pre], ())
+            yield prefix, lo, hi
+            continue
+        col = coef[t]
+        for x in range(hi, lo - 1, -1):  # pushed high to low, popped low first
+            stack.append((t + 1, prefix + (x,), [res - at * x for at, res in zip(col, residuals)]))
 
 
-def _count_scan(rows, box) -> int:
-    """Like _scan but closes the last axis with an exact range count."""
-    n = len(box)
-    if n == 0:
-        return 0
-    pre = _prepare(rows, box)
-    total = 0
-
-    def descend(t, residuals):
-        nonlocal total
-        lo, hi = box[t]
-        for (a, b, minrem), res in zip(pre, residuals):
-            at = a[t]
-            rem = res - minrem[t + 1]
-            if at > 0:
-                hi = min(hi, _floor_div(rem, at))
-            elif at < 0:
-                lo = max(lo, _ceil_div(rem, at))
-            elif res < minrem[t + 1]:
-                return
-        if lo > hi:
-            return
-        if t == n - 1:
-            total += hi - lo + 1
-            return
-        for x in range(lo, hi + 1):
-            nxt = [res - pr[0][t] * x for pr, res in zip(pre, residuals)]
-            descend(t + 1, nxt)
-
-    descend(0, [b for _, b, _ in pre])
-    return total
+def count_runs(rows, box) -> int:
+    """Number of integer solutions of rows inside box, with no point listed."""
+    return sum(hi - lo + 1 for _, lo, hi in _runs(rows, box))
 
 
 def _int_box(radii):
-    box = []
-    for r in radii:
-        f = Fraction(r)
-        hi = f.numerator // f.denominator
-        box.append((-hi, hi))
-    return box
+    return [(-floor(r), floor(r)) for r in radii]
 
 
-def _is_standard(lattice):
+def _standard(body, lattice) -> bool:
+    """Whether lattice is absent or Z^d itself; rejects a dimension mismatch."""
+    if lattice is None:
+        return True
+    if lattice.dim != body.dim:
+        raise DimensionMismatchError("lattice and body dimensions differ")
     return lattice.rank == lattice.dim and lattice.basis == tuple(identity(lattice.dim))
 
 
-def _body_system(body, scale=Fraction(1)):
-    rows = []
-    for a, b in body.facet_rows:
-        q = Fraction(b) * scale
-        rows.append((tuple(x * q.denominator for x in a), q.numerator))
-    return rows, _int_box(Fraction(r) * scale for r in body.bounding_box)
+def _system(body, lattice, scale):
+    """Integer rows and box of scale*body in lattice coordinates y (points B y).
 
-
-def _lattice_system(body, lattice, scale=Fraction(1)):
-    """Rows and box in lattice coordinates y with points B y."""
-    rows = []
-    for a, b in body.facet_rows:
-        arow = tuple(dot(a, col) for col in lattice.basis)
-        q = Fraction(b) * scale
-        rows.append((tuple(x * q.denominator for x in arow), q.numerator))
+    Starts from body.int_rows; lattice None stands for Z^d, where the box
+    is the scaled bounding box.
+    """
+    scale = Fraction(scale)
+    if scale <= 0:
+        raise ValueError("scale factor must be positive")
+    p, q = scale.numerator, scale.denominator
+    if lattice is None:
+        rows = [(tuple(x * q for x in a), b * p) for a, b in body.int_rows]
+        return rows, _int_box(r * scale for r in body.bounding_box)
+    basis = lattice.basis
+    rows = [(tuple(dot(a, col) * q for col in basis), b * p) for a, b in body.int_rows]
     # |y_j| bound via the exact pseudoinverse: y = (B^T B)^-1 B^T x
-    from .linalg import solve_rational
-
     k = lattice.rank
-    gram = [
-        tuple(dot(lattice.basis[i], lattice.basis[j]) for j in range(k))
-        for i in range(k)
-    ]
-    bt = [tuple(col) for col in lattice.basis]  # rows of B^T
-    box = []
+    gram = [tuple(dot(basis[i], basis[j]) for j in range(k)) for i in range(k)]
+    bounds = []
     for j in range(k):
         rhs = tuple(1 if i == j else 0 for i in range(k))
         col = solve_rational(gram, rhs)  # column j of (B^T B)^-1
         # row j of the pseudoinverse: sum_i col_i * (B^T)_i
-        prow = [
-            sum(col[i] * bt[i][t] for i in range(k)) for t in range(lattice.dim)
-        ]
-        bound = sum(
-            abs(c) * Fraction(r) * scale for c, r in zip(prow, body.bounding_box)
-        )
-        hi = bound.numerator // bound.denominator
-        box.append((-hi, hi))
-    return rows, box
+        prow = [sum(col[i] * basis[i][t] for i in range(k)) for t in range(lattice.dim)]
+        bounds.append(sum(abs(c) * r * scale for c, r in zip(prow, body.bounding_box)))
+    return rows, _int_box(bounds)
+
+
+def _listing(body, lattice=None, scale=1):
+    """Uncached points of scale*body ∩ lattice in lattice coordinates, lex order."""
+    runs = _runs(*_system(body, lattice, scale))
+    return [prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)
@@ -322,38 +284,36 @@ class PointCount:
 
 
 def enumerate_points(body, lattice=None, scale=Fraction(1)):
-    """All lattice points inside scale*body, ascending lexicographic order."""
-    scale = Fraction(scale)
-    if lattice is None or _is_standard(lattice):
-        if lattice is not None and lattice.dim != body.dim:
-            raise DimensionMismatchError("lattice and body dimensions differ")
-        rows, box = _body_system(body, scale)
-        out = []
-        _scan(rows, box, out.append)
-        return out
-    if lattice.dim != body.dim:
-        raise DimensionMismatchError("lattice and body dimensions differ")
-    rows, box = _lattice_system(body, lattice, scale)
-    out = []
-    _scan(rows, box, out.append)
-    return sorted(lattice.to_ambient(y) for y in out)
+    """All lattice points inside scale*body, ascending lexicographic order.
+
+    On Z^d at scale 1 this is a fresh list copied from body.lattice_points.
+    """
+    if _standard(body, lattice):
+        if scale == 1:
+            return list(body.lattice_points)
+        return _listing(body, None, scale)
+    return sorted(lattice.to_ambient(y) for y in _listing(body, lattice, scale))
 
 
 def count_points(body, lattice=None, by_normal=None, scale=Fraction(1)) -> PointCount:
-    """Cardinality of body ∩ lattice, optionally leveled by an integer form."""
-    scale = Fraction(scale)
-    if by_normal is not None:
-        u = tuple(int(x) for x in by_normal)
-        levels: dict[int, int] = {}
-        for z in enumerate_points(body, lattice, scale):
-            lv = dot(u, z)
+    """Cardinality of body ∩ lattice, optionally leveled by an integer form.
+
+    Runs are counted by length or walked one point at a time; the point
+    set is never listed.
+    """
+    lat = None if _standard(body, lattice) else lattice
+    rows, box = _system(body, lat, scale)
+    if by_normal is None:
+        return PointCount(total=count_runs(rows, box))
+    u = tuple(int(x) for x in by_normal)
+    if lat is not None:
+        u = tuple(dot(u, col) for col in lat.basis)  # u . (B y) = (B^T u) . y
+    levels: dict[int, int] = {}
+    for prefix, lo, hi in _runs(rows, box):
+        for x in range(lo, hi + 1):
+            lv = dot(u, prefix + (x,))
             levels[lv] = levels.get(lv, 0) + 1
-        return PointCount(total=sum(levels.values()), by_level=levels)
-    if lattice is None or _is_standard(lattice):
-        rows, box = _body_system(body, scale)
-        return PointCount(total=_count_scan(rows, box))
-    rows, box = _lattice_system(body, lattice, scale)
-    return PointCount(total=_count_scan(rows, box))
+    return PointCount(total=sum(levels.values()), by_level=levels)
 
 
 def sublattice(subspace) -> Lattice:

@@ -102,8 +102,7 @@ class MinkowskiFirstReport:
 def minkowski_first_check(body, dim_cap=None) -> MinkowskiFirstReport:
     """vol(K) >= 2^d must force a nonzero lattice point."""
     v = volume(body, dim_cap=dim_cap)
-    pts = enumerate_points(body)
-    nonzero = any(not is_zero(p) for p in pts)
+    nonzero = any(not is_zero(p) for p in body.lattice_points)
     consistent = not (v.value >= 2**body.dim and not nonzero)
     return MinkowskiFirstReport(vol=v, has_nonzero_point=nonzero, consistent=consistent)
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import SubspaceError
-from .lattices import LatticeSubspace, PointCount, count_points, enumerate_points, sublattice
+from .lattices import LatticeSubspace, PointCount, count_points, sublattice
 from .linalg import dot, int_rank, is_zero, primitive
 
 __all__ = [
@@ -111,7 +111,7 @@ def slice_profile(body, subspace) -> SliceProfile:
     _check_ambient(body, subspace)
     normals = subspace.kernel_normals()
     groups: dict[tuple, int] = {}
-    for z in enumerate_points(body):
+    for z in body.lattice_points:
         label = tuple(dot(n, z) for n in normals)
         groups[label] = groups.get(label, 0) + 1
     if not groups:
@@ -193,7 +193,7 @@ def max_slice(body, m, strategy=None) -> MaxSliceResult:
     if not 1 <= m <= d - 1:
         raise SubspaceError(f"slice dimension must be in [1, {d - 1}]")
     strategy = strategy or CandidateStrategy()
-    points = enumerate_points(body)
+    points = body.lattice_points
     half = sorted({primitive(p) for p in points if not is_zero(p)})
 
     exhaustive = False

@@ -21,6 +21,7 @@ from .hull import graham_hull
 from .lattices import (
     LatticeSubspace,
     count_points,
+    count_runs,
     dim_of_lattice_span,
     enumerate_points,
     project_count,
@@ -84,32 +85,6 @@ def _polygon_rows(hull_pts):
     return rows
 
 
-def _polygon_lattice_total(rows, hull_pts):
-    xs = [p[0] for p in hull_pts]
-    total = 0
-    for x in range(min(xs), max(xs) + 1):
-        lo, hi = None, None
-        feasible = True
-        for (a1, a2), b in rows:
-            rem = b - a1 * x
-            if a2 > 0:
-                v = Fraction(rem, a2)
-                hi = v if hi is None else min(hi, v)
-            elif a2 < 0:
-                v = Fraction(rem, a2)
-                lo = v if lo is None else max(lo, v)
-            elif rem < 0:
-                feasible = False
-                break
-        if not feasible or hi is None or lo is None:
-            continue
-        lo_i = -((-lo.numerator) // lo.denominator)  # ceil
-        hi_i = hi.numerator // hi.denominator  # floor
-        if hi_i >= lo_i:
-            total += hi_i - lo_i + 1
-    return total
-
-
 def pick_quantities(polygon) -> PickQuantities:
     """Area, interior and boundary counts of an integral convex polygon.
 
@@ -136,7 +111,9 @@ def pick_quantities(polygon) -> PickQuantities:
         area2 += x1 * y2 - x2 * y1
         bcount += gcd(abs(x2 - x1), abs(y2 - y1))
     area = Fraction(abs(area2), 2)
-    total = _polygon_lattice_total(_polygon_rows(hull_pts), hull_pts)
+    xs = [p[0] for p in hull_pts]
+    ys = [p[1] for p in hull_pts]
+    total = count_runs(_polygon_rows(hull_pts), [(min(xs), max(xs)), (min(ys), max(ys))])
     interior = total - bcount
     holds = area == interior + Fraction(bcount, 2) - 1
     return PickQuantities(A=area, I=interior, B=bcount, identity_holds=holds)
@@ -214,10 +191,10 @@ def verify_dim2(body, strategy=None, seed=None) -> SlicingReport:
     """Pick-based chain: hull identity, point bound, and the constant-4 inequality."""
     if body.dim != 2:
         raise LatsliceError("verify_dim2 needs a 2-dimensional body")
-    count = count_points(body).total
+    pts = body.lattice_points
+    count = len(pts)
     if dim_of_lattice_span(body) < 2:
         return _hypothesis_report("dim2", body, 2, 1, count, seed)
-    pts = enumerate_points(body)
     hull_pts = graham_hull(pts)
     pick = pick_quantities(hull_pts)
     chain = [ChainEntry("pick-identity", pick.identity_holds, f"A={pick.A} I={pick.I} B={pick.B}")]
@@ -265,7 +242,7 @@ def verify_unconditional(body, dim_cap=None, seed=None) -> SlicingReport:
     d = body.dim
     if not body.is_unconditional():
         raise SymmetryError("body is not unconditional")
-    count = count_points(body).total
+    count = len(body.lattice_points)
     if dim_of_lattice_span(body) < d:
         return _hypothesis_report("unconditional", body, d, d - 1, count, seed)
     coord_profiles = []
@@ -346,10 +323,10 @@ def verify_main(body, m, strategy=None, dim_cap=None, seed=None) -> SlicingRepor
     d = body.dim
     if not 1 <= m <= d - 1:
         raise LatsliceError(f"m must be in [1, {d - 1}]")
-    count = count_points(body).total
+    points = body.lattice_points
+    count = len(points)
     if dim_of_lattice_span(body) < d:
         return _hypothesis_report("main", body, d, m, count, seed)
-    points = enumerate_points(body)
     polar = body.polar()
     sm = successive_minima(polar)
     lam = sm.lambdas
@@ -469,8 +446,7 @@ def covering_lemma_check(body, k) -> CoveringReport:
     if d > 3 or k > 3 or k < 1:
         raise LatsliceError("covering check is desk scale: d <= 3 and k <= 3")
     big = enumerate_points(body, scale=Fraction(k))
-    base = enumerate_points(body)
-    base_set = [tuple(p) for p in base]
+    base_set = body.lattice_points
     uncovered = set(map(tuple, big))
     candidates = sorted({tuple(s[i] - b[i] for i in range(d)) for s in uncovered for b in base_set})
     cover = 0

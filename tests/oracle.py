@@ -1,0 +1,200 @@
+"""Differential oracles: the recursive enumeration the iterative kernel replaced.
+
+Test-only.  ``_scan``, ``_count_scan``, the ``_body_system`` /
+``_lattice_system`` row systems and ``_polygon_lattice_total`` are kept as they
+were in the library, so the kernel in ``latslice.lattices`` can be compared
+with them point for point.  ``enumerate_points`` and ``count_points`` here
+are the old public entry points without the ``by_normal`` option.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from latslice.linalg import dot, identity
+
+
+def _floor_div(p, q):
+    return p // q
+
+
+def _ceil_div(p, q):
+    return -((-p) // q)
+
+
+def _prepare(rows, box):
+    """Precompute suffix minima of each row over the box for pruning."""
+    n = len(box)
+    pre = []
+    for a, b in rows:
+        minrem = [0] * (n + 1)
+        for t in range(n - 1, -1, -1):
+            lo, hi = box[t]
+            minrem[t] = minrem[t + 1] + min(a[t] * lo, a[t] * hi)
+        pre.append((a, b, minrem))
+    return pre
+
+
+def _scan(rows, box, collect, prefix_cb=None):
+    """Depth-first scan; calls collect(point) per solution in lex order."""
+    n = len(box)
+    if n == 0:
+        return
+    pre = _prepare(rows, box)
+
+    def descend(t, residuals, prefix):
+        lo, hi = box[t]
+        for (a, b, minrem), res in zip(pre, residuals):
+            at = a[t]
+            rem = res - minrem[t + 1]
+            if at > 0:
+                hi = min(hi, _floor_div(rem, at))
+            elif at < 0:
+                lo = max(lo, _ceil_div(rem, at))
+            elif res < minrem[t + 1]:
+                return
+        if lo > hi:
+            return
+        if t == n - 1:
+            for x in range(lo, hi + 1):
+                collect(prefix + (x,))
+            return
+        for x in range(lo, hi + 1):
+            nxt = [res - pr[0][t] * x for pr, res in zip(pre, residuals)]
+            descend(t + 1, nxt, prefix + (x,))
+
+    descend(0, [b for _, b, _ in pre], ())
+
+
+def _count_scan(rows, box) -> int:
+    """Like _scan but closes the last axis with an exact range count."""
+    n = len(box)
+    if n == 0:
+        return 0
+    pre = _prepare(rows, box)
+    total = 0
+
+    def descend(t, residuals):
+        nonlocal total
+        lo, hi = box[t]
+        for (a, b, minrem), res in zip(pre, residuals):
+            at = a[t]
+            rem = res - minrem[t + 1]
+            if at > 0:
+                hi = min(hi, _floor_div(rem, at))
+            elif at < 0:
+                lo = max(lo, _ceil_div(rem, at))
+            elif res < minrem[t + 1]:
+                return
+        if lo > hi:
+            return
+        if t == n - 1:
+            total += hi - lo + 1
+            return
+        for x in range(lo, hi + 1):
+            nxt = [res - pr[0][t] * x for pr, res in zip(pre, residuals)]
+            descend(t + 1, nxt)
+
+    descend(0, [b for _, b, _ in pre])
+    return total
+
+
+def _int_box(radii):
+    box = []
+    for r in radii:
+        f = Fraction(r)
+        hi = f.numerator // f.denominator
+        box.append((-hi, hi))
+    return box
+
+
+def _is_standard(lattice):
+    return lattice.rank == lattice.dim and lattice.basis == tuple(identity(lattice.dim))
+
+
+def _body_system(body, scale=Fraction(1)):
+    rows = []
+    for a, b in body.facet_rows:
+        q = Fraction(b) * scale
+        rows.append((tuple(x * q.denominator for x in a), q.numerator))
+    return rows, _int_box(Fraction(r) * scale for r in body.bounding_box)
+
+
+def _lattice_system(body, lattice, scale=Fraction(1)):
+    """Rows and box in lattice coordinates y with points B y."""
+    rows = []
+    for a, b in body.facet_rows:
+        arow = tuple(dot(a, col) for col in lattice.basis)
+        q = Fraction(b) * scale
+        rows.append((tuple(x * q.denominator for x in arow), q.numerator))
+    # |y_j| bound via the exact pseudoinverse: y = (B^T B)^-1 B^T x
+    from latslice.linalg import solve_rational
+
+    k = lattice.rank
+    gram = [
+        tuple(dot(lattice.basis[i], lattice.basis[j]) for j in range(k))
+        for i in range(k)
+    ]
+    bt = [tuple(col) for col in lattice.basis]  # rows of B^T
+    box = []
+    for j in range(k):
+        rhs = tuple(1 if i == j else 0 for i in range(k))
+        col = solve_rational(gram, rhs)  # column j of (B^T B)^-1
+        # row j of the pseudoinverse: sum_i col_i * (B^T)_i
+        prow = [
+            sum(col[i] * bt[i][t] for i in range(k)) for t in range(lattice.dim)
+        ]
+        bound = sum(
+            abs(c) * Fraction(r) * scale for c, r in zip(prow, body.bounding_box)
+        )
+        hi = bound.numerator // bound.denominator
+        box.append((-hi, hi))
+    return rows, box
+
+
+def enumerate_points(body, lattice=None, scale=Fraction(1)):
+    """All lattice points inside scale*body, ascending lexicographic order."""
+    scale = Fraction(scale)
+    if lattice is None or _is_standard(lattice):
+        rows, box = _body_system(body, scale)
+        out = []
+        _scan(rows, box, out.append)
+        return out
+    rows, box = _lattice_system(body, lattice, scale)
+    out = []
+    _scan(rows, box, out.append)
+    return sorted(lattice.to_ambient(y) for y in out)
+
+
+def count_points(body, lattice=None, scale=Fraction(1)) -> int:
+    """Cardinality of scale*body ∩ lattice."""
+    scale = Fraction(scale)
+    if lattice is None or _is_standard(lattice):
+        return _count_scan(*_body_system(body, scale))
+    return _count_scan(*_lattice_system(body, lattice, scale))
+
+
+def _polygon_lattice_total(rows, hull_pts):
+    xs = [p[0] for p in hull_pts]
+    total = 0
+    for x in range(min(xs), max(xs) + 1):
+        lo, hi = None, None
+        feasible = True
+        for (a1, a2), b in rows:
+            rem = b - a1 * x
+            if a2 > 0:
+                v = Fraction(rem, a2)
+                hi = v if hi is None else min(hi, v)
+            elif a2 < 0:
+                v = Fraction(rem, a2)
+                lo = v if lo is None else max(lo, v)
+            elif rem < 0:
+                feasible = False
+                break
+        if not feasible or hi is None or lo is None:
+            continue
+        lo_i = -((-lo.numerator) // lo.denominator)  # ceil
+        hi_i = hi.numerator // hi.denominator  # floor
+        if hi_i >= lo_i:
+            total += hi_i - lo_i + 1
+    return total

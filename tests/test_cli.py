@@ -200,3 +200,10 @@ def test_gauss_with_normal_cli(capsys):
     data = json.loads(out)
     assert data["slice"]["counts"] == [3, 5]
     assert data["slice"]["normal"] == [0, 1]
+
+
+def test_gauss_zero_radius_exit1(capsys):
+    code, out, err = run(capsys, "gauss", "--body", "cube:2", "--radii", "0,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")

@@ -1,0 +1,142 @@
+"""The run-yielding enumeration kernel: oracle parity, result lifetime, point cache."""
+
+import gc
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from latslice import (
+    LatticeSubspace,
+    body_from_dict,
+    body_to_dict,
+    count_points,
+    cross,
+    cube,
+    enumerate_points,
+    sublattice,
+)
+from latslice import lattices
+from latslice.linalg import dot
+from latslice.verify import (
+    _polygon_rows,
+    pick_quantities,
+    random_polygon,
+    random_rational_symmetric_2d,
+    random_symmetric_body,
+    random_unconditional_body,
+    verify_dim2,
+    verify_main,
+    verify_unconditional,
+)
+
+GENERATORS = {"symmetric": random_symmetric_body, "unconditional": random_unconditional_body}
+
+
+# -- differential against the recursive oracle --------------------------------
+
+
+@st.composite
+def kernel_cases(draw):
+    d = draw(st.integers(2, 4))
+    body = GENERATORS[draw(st.sampled_from(sorted(GENERATORS)))](d, draw(st.integers(0, 10**6)))
+    normal = draw(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(lambda u: any(u))
+    )
+    scale = draw(st.sampled_from([Fraction(1), Fraction(5, 2), Fraction(4)]))
+    return body, normal, scale
+
+
+@settings(max_examples=12, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_recursive_oracle(case):
+    body, normal, scale = case
+    for lat in (None, sublattice(LatticeSubspace.from_normal(normal))):
+        expected = oracle.enumerate_points(body, lat, scale)
+        assert enumerate_points(body, lat, scale) == expected
+        assert count_points(body, lat, scale=scale).total == len(expected)
+        assert oracle.count_points(body, lat, scale) == len(expected)
+        leveled = count_points(body, lat, by_normal=normal, scale=scale)
+        assert leveled.by_level == Counter(dot(normal, z) for z in expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6))
+def test_pick_total_matches_oracle(seed):
+    hull_pts = random_polygon(seed)
+    q = pick_quantities(hull_pts)
+    assert q.I + q.B == oracle._polygon_lattice_total(_polygon_rows(hull_pts), hull_pts)
+
+
+# -- scale validation ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [0, -1, Fraction(-2)])
+def test_non_positive_scale_rejected(scale):
+    with pytest.raises(ValueError, match="scale factor must be positive"):
+        count_points(cube(2), scale=scale)
+    with pytest.raises(ValueError, match="scale factor must be positive"):
+        enumerate_points(cube(2), scale=scale)
+    lat = sublattice(LatticeSubspace.from_normal((1, 1)))
+    with pytest.raises(ValueError, match="scale factor must be positive"):
+        count_points(cube(2), lat, scale=scale)
+
+
+# -- result lifetime -------------------------------------------------------------------
+
+
+def test_results_hold_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_points(cube(3), scale=Fraction(5, 2))
+        count_points(cube(3), scale=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- the per-body point cache --------------------------------------------------------
+
+
+def test_enumerate_points_returns_a_fresh_list():
+    body = cross(3)
+    first = enumerate_points(body)
+    expected = list(first)
+    first.append((9, 9, 9))
+    first[0] = (0, 0, 0)
+    assert enumerate_points(body) == expected
+    assert body.lattice_points == tuple(expected)
+
+
+def _count_body_listings(monkeypatch, body, chain):
+    """Kernel scans of body ∩ Z^d at scale 1 while chain(body) runs."""
+    scans = []
+    kernel = lattices._runs
+
+    def counted(rows, box):
+        scans.append(rows == body.int_rows)
+        return kernel(rows, box)
+
+    monkeypatch.setattr(lattices, "_runs", counted)
+    chain(body)
+    return sum(scans)
+
+
+@pytest.mark.parametrize(
+    "make, chain",
+    [
+        (lambda: random_symmetric_body(3, 5), lambda b: verify_main(b, 2)),
+        (lambda: cross(3), lambda b: verify_main(b, 1)),
+        (lambda: random_unconditional_body(3, 2), verify_unconditional),
+        (lambda: random_unconditional_body(4, 1), verify_unconditional),
+        (lambda: random_rational_symmetric_2d(3), verify_dim2),
+    ],
+)
+def test_verify_chain_lists_body_once(monkeypatch, make, chain):
+    assert chain(make()).ok
+    # a body rebuilt from its data starts with no cached points
+    fresh = body_from_dict(body_to_dict(make()))
+    assert _count_body_listings(monkeypatch, fresh, chain) == 1
