@@ -116,30 +116,25 @@ class ConvexBody:
         if self.rows is not None:
             return _volume_hrep(self.int_rows, self.dim)
         pts, L = self._vrep_scaled
-        return hull.hull_volume(pts, self.dim) / Fraction(L) ** self.dim
+        masks = [sum(1 << i for i in f.active) for f in self.facets]
+        return hull.face_volume(pts, masks, self.dim) / Fraction(L) ** self.dim
 
     @cached_property
     def _polar_exact_volume(self) -> Fraction:
         if self.rows is not None:
             return self.polar()._exact_volume
-        if self.dim == 1:
-            return 2 / max(abs(v[0]) for v in self.verts)
-        d = self.dim
         pts, L = self._vrep_scaled
         facets = self.facets
-        # polar vertex for facet (a, b) of the scaled hull: a * L / b
-        polar_verts = [
-            tuple(Fraction(ai * L, f.offset) for ai in f.normal) for f in facets
-        ]
-        vert_idx = hull.hull_vertex_indices(pts, d, facets=facets)
-        total = Fraction(0)
-        for vi in vert_idx:
-            v = tuple(Fraction(x, L) for x in pts[vi])
-            active = [fi for fi, f in enumerate(facets) if vi in f.active]
-            j = max(range(d), key=lambda k: abs(v[k]))
-            proj = [polar_verts[fi][:j] + polar_verts[fi][j + 1 :] for fi in active]
-            total += rational_hull_volume(proj, d - 1) / abs(v[j])
-        return total / d
+        # facet a . x <= b of the scaled hull is the polar vertex a * L / b,
+        # which M / L scales to the integer point a * (M / b)
+        M = math.lcm(*(f.offset for f in facets))
+        polar_pts = [tuple(ai * (M // f.offset) for ai in f.normal) for f in facets]
+        # a primal vertex's polar facet holds the polar points of its facets;
+        # generators that are not vertices give non-maximal masks and drop out
+        masks = hull.maximal_masks(
+            sum(1 << fi for fi, f in enumerate(facets) if i in f.active) for i in range(len(pts))
+        )
+        return hull.face_volume(polar_pts, masks, self.dim) * Fraction(L, M) ** self.dim
 
     # -- predicates ---------------------------------------------------------
 
@@ -496,23 +491,23 @@ def _volume_hrep(rows, n) -> Fraction:
     return total / n
 
 
-def rational_hull_volume(points, dim) -> Fraction:
-    """Exact hull volume of rational points (scaled to integers internally)."""
-    scaled, L = scale_to_int([frac_vec(p) for p in points])
-    return hull.hull_volume(scaled, dim) / Fraction(L) ** dim
+def _check_exact_dim(body, dim_cap):
+    cap = exact_dim_cap(dim_cap)
+    if body.dim > cap:
+        raise ExactVolumeUnsupportedError(
+            f"exact volume cap is {cap}, body dimension is {body.dim} "
+            f"(raise {EXACT_DIM_CAP_ENV} to override)"
+        )
 
 
 def volume(body, mode="exact", dim_cap=None, samples=10_000, seed=0) -> Volume:
     """Volume of the body: exact (d up to the cap) or Monte Carlo box sampling."""
     if mode == "exact":
-        cap = exact_dim_cap(dim_cap)
-        if body.dim > cap:
-            raise ExactVolumeUnsupportedError(
-                f"exact volume cap is {cap}, body dimension is {body.dim} "
-                f"(raise {EXACT_DIM_CAP_ENV} to override)"
-            )
+        _check_exact_dim(body, dim_cap)
         return Volume(mode="exact", value=body._exact_volume)
     if mode in ("monte_carlo", "mc"):
+        if samples <= 0:
+            raise ValueError("samples must be positive")
         rng = random.Random(seed)
         radii = [float(r) for r in body.bounding_box]
         box_vol = 1.0
@@ -535,13 +530,10 @@ def volume(body, mode="exact", dim_cap=None, samples=10_000, seed=0) -> Volume:
 def polar_volume(body, dim_cap=None) -> Volume:
     """Exact volume of the polar body.
 
-    For a V-rep body the polar's full face data comes free from the primal
-    facet enumeration (polar vertices are facet normals, polar facets are
-    primal vertices), so no hull is run on the polar's many H-rep rows.
+    For a V-rep body both volumes come from one hull: the primal facets are
+    the polar's vertices, and the facet–generator incidence, read the other
+    way round, gives the polar's facets.  A pulling triangulation over that
+    incidence (``hull.face_volume``) needs no hull of the polar.
     """
-    cap = exact_dim_cap(dim_cap)
-    if body.dim > cap:
-        raise ExactVolumeUnsupportedError(
-            f"exact volume cap is {cap}, body dimension is {body.dim}"
-        )
+    _check_exact_dim(body, dim_cap)
     return Volume(mode="exact", value=body._polar_exact_volume)

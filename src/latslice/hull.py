@@ -4,6 +4,9 @@ Facet enumeration is brute force over d-subsets with a membership skip
 (subsets lying inside an already-found facet are never re-solved), which
 is plenty at desk scale and trivially exact.  Dimension 2 short-circuits
 to a monotone-chain scan.
+
+A volume runs the hull once: ``face_volume`` triangulates from the
+facet–point incidence alone, and the transposed incidence gives the polar's.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import LatsliceError
-from .linalg import dot, hyperplane_through, int_rank, vec_sub
+from .linalg import det_int, dot, hyperplane_through, vec_sub
 
-__all__ = ["Facet", "HullSizeError", "graham_hull", "hull_facets", "hull_vertex_indices", "hull_volume"]
+__all__ = ["Facet", "HullSizeError", "graham_hull", "face_volume", "hull_facets", "hull_volume", "maximal_masks"]
 
 SUBSET_GUARD = 500_000
 
@@ -80,9 +84,9 @@ def hull_facets(pts, dim, guard=SUBSET_GUARD):
     pts = [tuple(p) for p in pts]
     if dim == 1:
         vals = [p[0] for p in pts]
-        hi, lo = max(vals), min(vals)
-        if hi == lo:
+        if len(set(vals)) < 2:
             return []
+        hi, lo = max(vals), min(vals)
         return [
             Facet((1,), hi, tuple(i for i, v in enumerate(vals) if v == hi)),
             Facet((-1,), -lo, tuple(i for i, v in enumerate(vals) if v == lo)),
@@ -130,40 +134,43 @@ def hull_facets(pts, dim, guard=SUBSET_GUARD):
     return facets
 
 
-def hull_vertex_indices(pts, dim, facets=None):
-    """Indices of the extreme points: their active facet normals span rank dim."""
-    pts = [tuple(p) for p in pts]
-    if facets is None:
-        facets = hull_facets(pts, dim)
-    by_point = [[] for _ in pts]
-    for f in facets:
-        for i in f.active:
-            by_point[i].append(f.normal)
-    return [i for i, normals in enumerate(by_point) if len(normals) >= dim and int_rank(normals) == dim]
+def maximal_masks(masks):
+    """The inclusion-maximal nonzero bitmasks among masks, each once."""
+    cuts = set(masks) - {0}
+    return [c for c in cuts if not any(c != o and c & o == c for o in cuts)]
+
+
+def _pulling(face, masks, memo):
+    """Simplices of a face's pulling triangulation: index tuples, apex first."""
+    apex = (face & -face).bit_length() - 1
+    if face == 1 << apex:  # a vertex
+        return [(apex,)]
+    if face not in memo:
+        # the facets of a face are its inclusion-maximal proper cuts face & F
+        faces = maximal_masks({face & m for m in masks} - {face})
+        memo[face] = [(apex,) + s for f in faces if not f >> apex & 1 for s in _pulling(f, masks, memo)]
+    return memo[face]
+
+
+def face_volume(pts, facet_masks, dim):
+    """Exact dim-volume of conv(pts) from its facets given as point bitmasks.
+
+    A pulling triangulation: each face is coned from its lowest-index point
+    over those of its own facets that avoid it, and lower faces are read off
+    the incidence alone.  Each simplex adds |det(p_i - p_0)|; the sum is
+    divided by dim!.  A flat set gives 0.
+    """
+    if len(pts) <= dim:
+        return Fraction(0)
+    total = 0
+    for s in _pulling((1 << len(pts)) - 1, facet_masks, {}):
+        base = pts[s[0]]
+        total += abs(det_int([vec_sub(pts[i], base) for i in s[1:]]))
+    return Fraction(total, factorial(dim))
 
 
 def hull_volume(pts, dim, guard=SUBSET_GUARD):
-    """Exact dim-volume of conv(pts) for integer points, by fan decomposition.
-
-    A base vertex is coned over every facet avoiding it; each facet volume
-    recurses through an axis projection whose Jacobian cancels the normal
-    length, so everything stays rational.
-    """
-    pts = [tuple(p) for p in sorted(set(map(tuple, pts)))]
-    if not pts:
-        return Fraction(0)
-    if dim == 1:
-        vals = [p[0] for p in pts]
-        return Fraction(max(vals) - min(vals))
-    base = pts[0]
-    if int_rank([vec_sub(p, base) for p in pts[1:]]) < dim:
-        return Fraction(0)
-    total = Fraction(0)
-    for f in hull_facets(pts, dim, guard=guard):
-        h = f.offset - dot(f.normal, base)
-        if h == 0:
-            continue
-        j = max(range(dim), key=lambda k: abs(f.normal[k]))
-        proj = [pts[i][:j] + pts[i][j + 1 :] for i in f.active]
-        total += Fraction(h, abs(f.normal[j])) * hull_volume(proj, dim - 1, guard=guard)
-    return total / dim
+    """Exact dim-volume of conv(pts) for integer points: one hull, then face_volume."""
+    pts = sorted(set(map(tuple, pts)))
+    facets = hull_facets(pts, dim, guard=guard)
+    return face_volume(pts, [sum(1 << i for i in f.active) for f in facets], dim)

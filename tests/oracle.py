@@ -1,17 +1,25 @@
-"""Differential oracles: the recursive enumeration the iterative kernel replaced.
+"""Differential oracles: the recursive code that faster kernels replaced.
 
-Test-only.  ``_scan``, ``_count_scan``, the ``_body_system`` /
+Test-only.  Enumeration: ``_scan``, ``_count_scan``, the ``_body_system`` /
 ``_lattice_system`` row systems and ``_polygon_lattice_total`` are kept as they
 were in the library, so the kernel in ``latslice.lattices`` can be compared
 with them point for point.  ``enumerate_points`` and ``count_points`` here
 are the old public entry points without the ``by_normal`` option.
+
+Volumes: ``hull_volume`` (the fan that re-hulls every facet projection),
+``hull_vertex_indices``, ``rational_hull_volume`` and ``polar_volume`` (the
+fan over the primal vertices that re-hulls each vertex's polar facet) are
+kept as they were, so ``latslice.hull.face_volume`` and the cached body
+volumes can be compared with them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from latslice.linalg import dot, identity
+from latslice import hull
+from latslice.bodies import _volume_hrep
+from latslice.linalg import dot, frac_vec, identity, int_rank, scale_to_int, vec_sub
 
 
 def _floor_div(p, q):
@@ -198,3 +206,80 @@ def _polygon_lattice_total(rows, hull_pts):
         if hi_i >= lo_i:
             total += hi_i - lo_i + 1
     return total
+
+
+def hull_vertex_indices(pts, dim, facets=None):
+    """Indices of the extreme points: their active facet normals span rank dim."""
+    pts = [tuple(p) for p in pts]
+    if facets is None:
+        facets = hull.hull_facets(pts, dim)
+    by_point = [[] for _ in pts]
+    for f in facets:
+        for i in f.active:
+            by_point[i].append(f.normal)
+    return [i for i, normals in enumerate(by_point) if len(normals) >= dim and int_rank(normals) == dim]
+
+
+def hull_volume(pts, dim, guard=hull.SUBSET_GUARD):
+    """Exact dim-volume of conv(pts) for integer points, by fan decomposition.
+
+    A base vertex is coned over every facet avoiding it; each facet volume
+    recurses through an axis projection whose Jacobian cancels the normal
+    length, so everything stays rational.
+    """
+    pts = [tuple(p) for p in sorted(set(map(tuple, pts)))]
+    if not pts:
+        return Fraction(0)
+    if dim == 1:
+        vals = [p[0] for p in pts]
+        return Fraction(max(vals) - min(vals))
+    base = pts[0]
+    if int_rank([vec_sub(p, base) for p in pts[1:]]) < dim:
+        return Fraction(0)
+    total = Fraction(0)
+    for f in hull.hull_facets(pts, dim, guard=guard):
+        h = f.offset - dot(f.normal, base)
+        if h == 0:
+            continue
+        j = max(range(dim), key=lambda k: abs(f.normal[k]))
+        proj = [pts[i][:j] + pts[i][j + 1 :] for i in f.active]
+        total += Fraction(h, abs(f.normal[j])) * hull_volume(proj, dim - 1, guard=guard)
+    return total / dim
+
+
+def rational_hull_volume(points, dim) -> Fraction:
+    """Exact hull volume of rational points (scaled to integers internally)."""
+    scaled, L = scale_to_int([frac_vec(p) for p in points])
+    return hull_volume(scaled, dim) / Fraction(L) ** dim
+
+
+def exact_volume(body) -> Fraction:
+    """vol(K): the H-rep recursion, or the fan on the scaled generators."""
+    if body.rows is not None:
+        return _volume_hrep(body.int_rows, body.dim)
+    pts, L = body._vrep_scaled
+    return hull_volume(pts, body.dim) / Fraction(L) ** body.dim
+
+
+def polar_volume(body) -> Fraction:
+    """vol(K°): a fan over the primal vertices, each polar facet re-hulled."""
+    if body.rows is not None:
+        return exact_volume(body.polar())
+    if body.dim == 1:
+        return 2 / max(abs(v[0]) for v in body.verts)
+    d = body.dim
+    pts, L = body._vrep_scaled
+    facets = body.facets
+    # polar vertex for facet (a, b) of the scaled hull: a * L / b
+    polar_verts = [
+        tuple(Fraction(ai * L, f.offset) for ai in f.normal) for f in facets
+    ]
+    vert_idx = hull_vertex_indices(pts, d, facets=facets)
+    total = Fraction(0)
+    for vi in vert_idx:
+        v = tuple(Fraction(x, L) for x in pts[vi])
+        active = [fi for fi, f in enumerate(facets) if vi in f.active]
+        j = max(range(d), key=lambda k: abs(v[k]))
+        proj = [polar_verts[fi][:j] + polar_verts[fi][j + 1 :] for fi in active]
+        total += rational_hull_volume(proj, d - 1) / abs(v[j])
+    return total / d

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
+from latslice import hull
 from latslice import (
     DegenerateBodyError,
     DimensionMismatchError,
@@ -20,6 +22,7 @@ from latslice import (
     polar_volume,
     volume,
 )
+from latslice.verify import random_symmetric_body
 
 
 def wide_box():
@@ -225,6 +228,12 @@ def test_volume_cap_env(monkeypatch):
         volume(cube(3))
 
 
+def test_polar_volume_cap():
+    with pytest.raises(ExactVolumeUnsupportedError, match="LATSLICE_EXACT_DIM_CAP"):
+        polar_volume(cube(6))
+    assert polar_volume(cube(6), dim_cap=6).value == Fraction(4, 45)
+
+
 def test_volume_vrep_hrep_routes_agree():
     # hull of a random symmetric hexagon, both routes
     verts = [(2, 1), (1, 2), (-1, 1)]
@@ -246,10 +255,57 @@ def test_volume_mc_deterministic():
     assert a.value == b.value and a.error == b.error
 
 
+def test_volume_mc_non_positive_samples():
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            volume(cube(2), mode="mc", samples=n)
+
+
 def test_polar_volume_matches_direct():
-    for b in [cube(3), cross(3), wide_box(), from_vertices([(2, 1), (1, 2), (-1, 1)])]:
+    bodies = [
+        cube(3),
+        cross(3),
+        wide_box(),
+        from_vertices([(2, 1), (1, 2), (-1, 1)]),
+        # an origin generator and an edge midpoint, neither a vertex
+        from_vertices([(2, 0), (0, 2), (1, 1), (0, 0), (1, 0)]),
+        from_vertices([(3,)]),
+    ]
+    for b in bodies:
         direct = volume(b.polar()).value
         assert polar_volume(b).value == direct
+    assert polar_volume(bodies[4]).value == 1
+    assert polar_volume(bodies[5]).value == Fraction(2, 3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6))
+def test_volumes_match_fan_oracle(d, seed):
+    b = random_symmetric_body(d, seed)
+    assert volume(b).value == oracle.exact_volume(b)
+    assert polar_volume(b).value == oracle.polar_volume(b)
+
+
+def test_both_volumes_run_one_hull(monkeypatch):
+    calls = []
+    hull_facets = hull.hull_facets
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return hull_facets(*args, **kwargs)
+
+    monkeypatch.setattr(hull, "hull_facets", counted)
+    for seed in range(3):
+        calls.clear()
+        b = random_symmetric_body(4, seed, points=3)
+        volume(b)
+        polar_volume(b)
+        assert len(calls) == 1
+
+
+def test_polar_volume_d5_matches_hrep_route():
+    b = random_symmetric_body(5, 0, points=5)
+    assert polar_volume(b).value == volume(b.polar()).value
 
 
 def test_scale():

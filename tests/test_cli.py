@@ -207,3 +207,11 @@ def test_gauss_zero_radius_exit1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_volume_mc_non_positive_samples_exit1(capsys):
+    for n in ("0", "-5"):
+        code, out, err = run(capsys, "volume", "--body", "cube:2", "--mode", "mc", "--samples", n)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")

@@ -5,7 +5,8 @@ from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
-from latslice.hull import graham_hull, hull_facets, hull_vertex_indices, hull_volume
+import oracle
+from latslice.hull import graham_hull, hull_facets, hull_volume, maximal_masks
 from latslice.linalg import dot
 
 
@@ -52,10 +53,13 @@ def test_facets_of_cube_3d():
         assert len(f.active) == 4  # non-simplicial facets found once
 
 
-def test_vertex_indices():
+def test_maximal_masks_keep_vertices_only():
     pts = [(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0), (1, 0)]
-    verts = hull_vertex_indices(pts, 2)
-    assert sorted(verts) == [0, 1, 2, 3]  # (0,0) interior, (1,0) edge-interior
+    facets = hull_facets(pts, 2)
+    by_point = [sum(1 << fi for fi, f in enumerate(facets) if i in f.active) for i in range(len(pts))]
+    # (0,0) is interior (mask 0) and (1,0) edge-interior (a proper submask)
+    assert sorted(maximal_masks(by_point)) == sorted(by_point[:4])
+    assert len(set(by_point[:4])) == 4
 
 
 def test_volume_cube():
@@ -107,6 +111,7 @@ def test_volume_3d_matches_grid_estimate_bounds(data):
     pts += [tuple(-x for x in p) for p in pts]
     vol = hull_volume(pts, 3)
     assert vol >= 0
+    assert vol == oracle.hull_volume(pts, 3)
     # containment monotonicity: adding a point can only grow the hull
     extra = pts + [(5, 5, 5)]
     assert hull_volume(extra, 3) >= vol
@@ -116,3 +121,30 @@ def test_volume_translation_invariant():
     pts = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 4), (2, 3, 4)]
     shifted = [(x + 5, y - 7, z + 1) for x, y, z in pts]
     assert hull_volume(pts, 3) == hull_volume(shifted, 3)
+
+
+@st.composite
+def point_sets(draw):
+    """Integer point sets, d <= 4: translated, with repeats, interior and flat cases."""
+    d = draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=d + 5))
+    kind = draw(st.sampled_from(["plain", "repeats", "interior", "edge", "flat"]))
+    if kind == "repeats":
+        pts += pts[: draw(st.integers(1, len(pts)))]
+    elif kind == "interior":  # the centroid, after scaling by the point count
+        n = len(pts)
+        pts = [tuple(n * x for x in p) for p in pts] + [tuple(map(sum, zip(*pts)))]
+    elif kind == "edge":  # the midpoint of the first two points, after doubling
+        pts = [tuple(2 * x for x in p) for p in pts] + [tuple(map(sum, zip(*pts[:2])))]
+    elif kind == "flat":
+        pts = [p[:-1] + (0,) for p in pts]
+    shift = draw(st.tuples(*[st.integers(-20, 20)] * d))
+    return d, [tuple(x + s for x, s in zip(p, shift)) for p in pts]
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets())
+def test_volume_matches_fan_oracle(case):
+    d, pts = case
+    assert hull_volume(pts, d) == oracle.hull_volume(pts, d)
