@@ -302,6 +302,10 @@ def _cmd_scan(args):
         raise LatsliceError(f"unknown scan generator {gen!r}")
     if args.kind == "dim2" and d != 2:
         raise LatsliceError("dim2 scan needs a 2-dimensional generator")
+    if args.trials < 0:
+        raise LatsliceError("scan --trials must be non-negative")
+    if args.jobs < 1:
+        raise LatsliceError("scan --jobs must be at least 1")
     tasks = [(args.kind, gen, d, args.m, args.seed + i) for i in range(args.trials)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -2,17 +2,26 @@
 
 Counts of K ∩ H ∩ Z^d come two ways: solved in sublattice coordinates
 (slice_count) or by grouping the enumerated points of K by translate
-label (slice_profile); tests hold the two routes equal.  The max-slice
-search is exhaustive-certified only when the family "spans of m-subsets
-of lattice points of K (plus coordinate vectors)" is small enough to
-enumerate, since an optimizer can always be rebuilt from the points it
-contains; otherwise the result is a certified lower bound, which is the
-conservative direction for every inequality this package checks.
+label (slice_profile); tests hold the two routes equal.
+
+The max-slice search keys every m-subset of a vector family by its
+primitive Plücker vector (its m×m minors), so subsets with the same span
+share one key and a zero key marks a dependent subset.  K ∩ Z^d is read
+once into point counts per primitive direction; a span's count is the
+zero point plus the counts of the directions it contains, and the
+Hermite-form subspace is built only for the spans tied at the maximum.
+The search is exhaustive-certified only when the family "spans of
+m-subsets of lattice points of K (plus coordinate vectors)" is small
+enough to enumerate, since an optimizer can always be rebuilt from the
+points it contains; otherwise the result is a certified lower bound,
+which is the conservative direction for every inequality this package
+checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +29,7 @@ from math import comb
 
 from .errors import SubspaceError
 from .lattices import LatticeSubspace, PointCount, count_points, sublattice
-from .linalg import dot, int_rank, is_zero, primitive
+from .linalg import det_int, dot, is_zero, primitive
 
 __all__ = [
     "CandidateStrategy",
@@ -41,6 +50,12 @@ class CandidateStrategy:
     normal_bound: int | None = None  # None: 3 for d <= 4, else 1
     include_polar_basis: bool = True
     certify_limit: int = 20_000
+
+    def __post_init__(self):
+        if self.normal_bound is not None and self.normal_bound < 1:
+            raise ValueError("normal_bound must be at least 1")
+        if self.certify_limit < 0:
+            raise ValueError("certify_limit must be non-negative")
 
     def bound_for(self, d) -> int:
         if self.normal_bound is not None:
@@ -165,44 +180,76 @@ def _polar_basis(body):
     return successive_minima(body.polar()).directional_basis
 
 
-def _count_in_subspace(points, subspace) -> int:
-    normals = subspace.kernel_normals()
-    n = 0
-    for z in points:
-        if all(dot(u, z) == 0 for u in normals):
-            n += 1
-    return n
+def _expansion(d, m):
+    """Laplace terms (column, sign, minor index) of each (m+1)-minor along an added row."""
+    index = {cols: i for i, cols in enumerate(itertools.combinations(range(d), m))}
+    return tuple(
+        tuple((j, (-1) ** k, index[cols[:k] + cols[k + 1 :]]) for k, j in enumerate(cols))
+        for cols in itertools.combinations(range(d), m + 1)
+    )
 
 
-def _subspaces_from_vectors(vectors, m, limit):
-    """Deduplicated rank-m spans of m-subsets; None when too many subsets."""
+def _span_key(vectors, columns):
+    """Primitive Plücker vector (the m×m minors) of m vectors; zero when dependent."""
+    return primitive(tuple(det_int([[v[j] for j in cols] for v in vectors]) for cols in columns))
+
+
+def _in_span(key, v, terms) -> bool:
+    """v lies in the span keyed by key: every (m+1)-minor with v added vanishes."""
+    return all(sum(s * v[j] * key[i] for j, s, i in t) == 0 for t in terms)
+
+
+def _spans(vectors, d, m, limit):
+    """{key: (first m-subset, union of its m-subsets)} over rank-m m-subsets.
+
+    None when there are more than limit subsets.
+    """
     if comb(len(vectors), m) > limit:
         return None
-    seen = {}
+    columns = tuple(itertools.combinations(range(d), m))
+    spans: dict[tuple, tuple] = {}
     for combo in itertools.combinations(vectors, m):
-        if int_rank(combo) != m:
+        key = _span_key(combo, columns)
+        if is_zero(key):
             continue
-        sub = LatticeSubspace.from_basis(combo)
-        seen.setdefault(sub.basis, sub)
-    return list(seen.values())
+        if key in spans:
+            spans[key][1].update(combo)
+        else:
+            spans[key] = (combo, set(combo))
+    return spans
 
 
 def max_slice(body, m, strategy=None) -> MaxSliceResult:
-    """Maximize #(K ∩ H ∩ Z^d) over a family of m-dimensional lattice subspaces."""
+    """Maximize #(K ∩ H ∩ Z^d) over a family of m-dimensional lattice subspaces.
+
+    Candidates are spans of m-subsets of a vector family keyed by their
+    Plücker vectors, or, in the m = d-1 fallback, hyperplanes keyed by
+    their normals.  A candidate's count is the zero point plus the point
+    counts of the directions it contains.  The certified family holds
+    every point direction, and by exchange each direction inside a span
+    lies in an m-subset with that span's key, so the union of those
+    subsets is exactly the directions to count; the fallback families test
+    every direction.  The Hermite-form subspace is built only for the
+    candidates tied at the maximum, and the witness is the one with the
+    smallest basis.
+    """
     d = body.dim
     if not 1 <= m <= d - 1:
         raise SubspaceError(f"slice dimension must be in [1, {d - 1}]")
     strategy = strategy or CandidateStrategy()
     points = body.lattice_points
-    half = sorted({primitive(p) for p in points if not is_zero(p)})
+    mult = Counter(primitive(p) for p in points if not is_zero(p))  # points per direction
+    zero = len(points) - sum(mult.values())
 
-    exhaustive = False
-    candidates = None
-    spanning = tuple(sorted(set(half) | set(_coordinate_vectors(d))))
-    certified = _subspaces_from_vectors(spanning, m, strategy.certify_limit)
-    if certified is not None:
-        candidates = certified
-        exhaustive = True
+    spanning = tuple(sorted(set(mult) | set(_coordinate_vectors(d))))
+    spans = _spans(spanning, d, m, strategy.certify_limit)
+    exhaustive = spans is not None
+    if exhaustive:
+        build = LatticeSubspace.from_basis
+        candidates = {
+            key: (zero + sum(mult[v] for v in members), first)
+            for key, (first, members) in spans.items()
+        }
     else:
         extra = list(_coordinate_vectors(d))
         if strategy.include_polar_basis:
@@ -210,23 +257,30 @@ def max_slice(body, m, strategy=None) -> MaxSliceResult:
         if m == d - 1:
             normals = set(_primitive_vectors(d, strategy.bound_for(d)))
             normals.update(primitive(v) for v in extra)
-            candidates = [LatticeSubspace.from_normal(u) for u in sorted(normals)]
+            build = LatticeSubspace.from_normal
+            candidates = {
+                u: (zero + sum(c for v, c in mult.items() if dot(u, v) == 0), u)
+                for u in normals
+            }
         else:
             vecs = set(_primitive_vectors(d, strategy.bound_for(d)))
             vecs.update(extra)
-            fam = _subspaces_from_vectors(tuple(sorted(vecs)), m, strategy.certify_limit)
-            if fam is None:
-                fam = _subspaces_from_vectors(tuple(sorted(set(extra))), m, strategy.certify_limit)
-            if fam is None:
+            spans = _spans(tuple(sorted(vecs)), d, m, strategy.certify_limit)
+            if spans is None:
+                spans = _spans(tuple(sorted(set(extra))), d, m, strategy.certify_limit)
+            if spans is None:
                 raise SubspaceError("candidate family too large; tighten the strategy")
-            candidates = fam
+            terms = _expansion(d, m)
+            build = LatticeSubspace.from_basis
+            candidates = {
+                key: (zero + sum(c for v, c in mult.items() if _in_span(key, v, terms)), first)
+                for key, (first, _) in spans.items()
+            }
 
-    best = None
-    for sub in candidates:
-        c = _count_in_subspace(points, sub)
-        if best is None or c > best[0] or (c == best[0] and sub.basis < best[1].basis):
-            best = (c, sub)
-    count, witness = best
+    count = max(c for c, _ in candidates.values())
+    witness = min(
+        (build(arg) for c, arg in candidates.values() if c == count), key=lambda s: s.basis
+    )
     return MaxSliceResult(
         m=m,
         best_count=count,

@@ -11,15 +11,40 @@ Volumes: ``hull_volume`` (the fan that re-hulls every facet projection),
 fan over the primal vertices that re-hulls each vertex's polar facet) are
 kept as they were, so ``latslice.hull.face_volume`` and the cached body
 volumes can be compared with them.
+
+Max slice: ``max_slice`` builds one ``LatticeSubspace`` per m-subset
+(``_subspaces_from_vectors``) and rescans every point of K for every
+candidate (``_count_in_subspace``), as the library did before it keyed spans
+by their Plücker vectors.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import comb
 
 from latslice import hull
 from latslice.bodies import _volume_hrep
-from latslice.linalg import dot, frac_vec, identity, int_rank, scale_to_int, vec_sub
+from latslice.errors import SubspaceError
+from latslice.lattices import LatticeSubspace
+from latslice.linalg import (
+    dot,
+    frac_vec,
+    identity,
+    int_rank,
+    is_zero,
+    primitive,
+    scale_to_int,
+    vec_sub,
+)
+from latslice.slicing import (
+    CandidateStrategy,
+    MaxSliceResult,
+    _coordinate_vectors,
+    _polar_basis,
+    _primitive_vectors,
+)
 
 
 def _floor_div(p, q):
@@ -283,3 +308,74 @@ def polar_volume(body) -> Fraction:
         proj = [polar_verts[fi][:j] + polar_verts[fi][j + 1 :] for fi in active]
         total += rational_hull_volume(proj, d - 1) / abs(v[j])
     return total / d
+
+
+def _count_in_subspace(points, subspace) -> int:
+    normals = subspace.kernel_normals()
+    n = 0
+    for z in points:
+        if all(dot(u, z) == 0 for u in normals):
+            n += 1
+    return n
+
+
+def _subspaces_from_vectors(vectors, m, limit):
+    """Deduplicated rank-m spans of m-subsets; None when too many subsets."""
+    if comb(len(vectors), m) > limit:
+        return None
+    seen = {}
+    for combo in itertools.combinations(vectors, m):
+        if int_rank(combo) != m:
+            continue
+        sub = LatticeSubspace.from_basis(combo)
+        seen.setdefault(sub.basis, sub)
+    return list(seen.values())
+
+
+def max_slice(body, m, strategy=None) -> MaxSliceResult:
+    """Maximize #(K ∩ H ∩ Z^d) over a family of m-dimensional lattice subspaces."""
+    d = body.dim
+    if not 1 <= m <= d - 1:
+        raise SubspaceError(f"slice dimension must be in [1, {d - 1}]")
+    strategy = strategy or CandidateStrategy()
+    points = body.lattice_points
+    half = sorted({primitive(p) for p in points if not is_zero(p)})
+
+    exhaustive = False
+    candidates = None
+    spanning = tuple(sorted(set(half) | set(_coordinate_vectors(d))))
+    certified = _subspaces_from_vectors(spanning, m, strategy.certify_limit)
+    if certified is not None:
+        candidates = certified
+        exhaustive = True
+    else:
+        extra = list(_coordinate_vectors(d))
+        if strategy.include_polar_basis:
+            extra.extend(primitive(v) for v in _polar_basis(body))
+        if m == d - 1:
+            normals = set(_primitive_vectors(d, strategy.bound_for(d)))
+            normals.update(primitive(v) for v in extra)
+            candidates = [LatticeSubspace.from_normal(u) for u in sorted(normals)]
+        else:
+            vecs = set(_primitive_vectors(d, strategy.bound_for(d)))
+            vecs.update(extra)
+            fam = _subspaces_from_vectors(tuple(sorted(vecs)), m, strategy.certify_limit)
+            if fam is None:
+                fam = _subspaces_from_vectors(tuple(sorted(set(extra))), m, strategy.certify_limit)
+            if fam is None:
+                raise SubspaceError("candidate family too large; tighten the strategy")
+            candidates = fam
+
+    best = None
+    for sub in candidates:
+        c = _count_in_subspace(points, sub)
+        if best is None or c > best[0] or (c == best[0] and sub.basis < best[1].basis):
+            best = (c, sub)
+    count, witness = best
+    return MaxSliceResult(
+        m=m,
+        best_count=count,
+        witness=witness,
+        candidates_searched=len(candidates),
+        exhaustive=exhaustive,
+    )

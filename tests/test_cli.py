@@ -144,10 +144,32 @@ def test_scan_determinism_byte_identical(capsys):
 
 
 def test_scan_jobs_ordering_matches_serial(capsys):
-    base = ["scan", "main", "--body", "random:2", "--trials", "5", "--seed", "2", "--format", "csv"]
-    _, serial, _ = run(capsys, *base)
-    _, parallel, _ = run(capsys, *base, "--jobs", "2")
-    assert serial == parallel
+    for base in (
+        ["scan", "main", "--body", "random:2", "--trials", "5", "--seed", "2", "--format", "csv"],
+        ["scan", "main", "--body", "random:3", "--m", "2", "--trials", "4", "--format", "json"],
+    ):
+        _, serial, _ = run(capsys, *base)
+        _, parallel, _ = run(capsys, *base, "--jobs", "2")
+        assert serial == parallel
+
+
+def test_scan_bad_counts_exit1(capsys):
+    base = ["scan", "main", "--body", "random:3"]
+    for flags in (["--trials", "-2"], ["--jobs", "0"], ["--jobs", "-3"]):
+        code, out, err = run(capsys, *base, *flags)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+
+def test_slice_non_positive_normal_bound_exit1(capsys):
+    for bound in ("0", "-1"):
+        code, out, err = run(
+            capsys, "slice", "--body", "cube:5", "--m", "4", f"--normal-bound={bound}"
+        )
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
 
 
 def test_out_file(tmp_path, capsys):

@@ -13,11 +13,18 @@ from latslice import (
     cube,
     from_vertices,
 )
+import oracle
 from latslice.slicing import (
+    CandidateStrategy,
     brunn_check,
     max_slice,
     slice_count,
     slice_profile,
+)
+from latslice.verify import (
+    random_rational_symmetric_2d,
+    random_symmetric_body,
+    random_unconditional_body,
 )
 
 
@@ -139,6 +146,103 @@ def test_max_slice_exhaustive_beats_origin_baseline(data):
         return
     res = max_slice(body, 1)
     assert res.best_count >= 1
+
+
+def _summary(res):
+    return res.best_count, res.witness.spec(), res.candidates_searched, res.exhaustive
+
+
+def _matches_oracle(body, m, strategy=None):
+    res = max_slice(body, m, strategy)
+    assert _summary(res) == _summary(oracle.max_slice(body, m, strategy))
+    return res
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(["symmetric", "unconditional", "rational"]),
+    st.integers(2, 4),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_max_slice_matches_per_subset_oracle(kind, d, seed, data):
+    if kind == "rational":
+        body = random_rational_symmetric_2d(seed)
+    elif kind == "unconditional":
+        body = random_unconditional_body(d, seed)
+    else:
+        body = random_symmetric_body(d, seed)
+    m = data.draw(st.integers(1, body.dim - 1))
+    _matches_oracle(body, m)
+
+
+def test_max_slice_ties_match_oracle():
+    # many spans share the maximum; the witness is the smallest basis
+    for body in [cube(3), cross(4)]:
+        for m in range(1, body.dim):
+            _matches_oracle(body, m)
+
+
+def test_max_slice_builds_subspaces_only_for_ties(monkeypatch):
+    built = []
+    from_basis = LatticeSubspace.from_basis.__func__
+
+    def counting(cls, vectors):
+        built.append(vectors)
+        return from_basis(cls, vectors)
+
+    monkeypatch.setattr(LatticeSubspace, "from_basis", classmethod(counting))
+    res = max_slice(cube(3), 2)
+    # 9 points on the 3 coordinate planes and the 6 planes x_i = ±x_j
+    assert res.best_count == 9 and res.candidates_searched == 25
+    assert len(built) == 9
+
+
+@pytest.mark.parametrize(
+    "body, strategy",
+    [
+        (cube(5), None),
+        (cross(5), CandidateStrategy(certify_limit=0)),
+        (cube(5), CandidateStrategy(normal_bound=2, include_polar_basis=False)),
+        (random_symmetric_body(3, 0), CandidateStrategy(certify_limit=0)),
+    ],
+)
+def test_max_slice_normals_branch_matches_oracle(body, strategy):
+    res = _matches_oracle(body, body.dim - 1, strategy)
+    assert not res.exhaustive
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+@pytest.mark.parametrize("polar", [True, False])
+@pytest.mark.parametrize(
+    "bound, limit",
+    # (1, 800): the 40 sup-norm-1 vectors give 780 subsets, so the bounded
+    # family is searched; the small limits fall back to coordinate vectors
+    # and the polar basis
+    [(1, 800), (None, 6), (None, 100)],
+)
+def test_max_slice_span_branches_match_oracle(seed, polar, bound, limit):
+    strategy = CandidateStrategy(
+        normal_bound=bound, certify_limit=limit, include_polar_basis=polar
+    )
+    res = _matches_oracle(random_symmetric_body(4, seed), 2, strategy)
+    assert not res.exhaustive
+    assert (res.candidates_searched > 28) == (bound == 1)
+
+
+def test_max_slice_family_too_large():
+    strategy = CandidateStrategy(certify_limit=5, include_polar_basis=False)
+    for search in (max_slice, oracle.max_slice):
+        with pytest.raises(SubspaceError, match="candidate family too large"):
+            search(cube(4), 2, strategy)
+
+
+@pytest.mark.parametrize(
+    "knobs", [{"normal_bound": 0}, {"normal_bound": -1}, {"certify_limit": -1}]
+)
+def test_candidate_strategy_rejects_bad_knobs(knobs):
+    with pytest.raises(ValueError):
+        CandidateStrategy(**knobs)
 
 
 # -- Brunn dominance ---------------------------------------------------------------
