@@ -205,12 +205,19 @@ class ConvexBody:
     # -- constructions -------------------------------------------------------
 
     def polar(self) -> "ConvexBody":
-        """Polar body {y : y . x <= 1 for all x in K}; swaps representations."""
+        """Polar body {y : y . x <= 1 for all x in K}; swaps representations.
+
+        The polar of a V-rep body takes its bounding box from K's cached
+        facets, with no LP: h_{K°}(e_j) = gauge_K(e_j) = max a_j / b over
+        the facets a . x <= b.
+        """
+        name = f"polar({self.name})"
         if self.rows is not None:
             verts = [tuple(Fraction(ai) / b for ai in a) for a, b in self.rows]
-            return from_vertices(verts, name=f"polar({self.name})")
-        rows = [(v, Fraction(1)) for v in self.verts]
-        return from_hrep(self.dim, rows, name=f"polar({self.name})")
+            return from_vertices(verts, name=name)
+        rows = _hrep_rows(self.dim, [(v, Fraction(1)) for v in self.verts])
+        box = tuple(max(a[j] / b for a, b in self.facet_rows) for j in range(self.dim))
+        return ConvexBody(dim=self.dim, rows=rows, verts=None, bounding_box=box, name=name)
 
     def scale(self, factor) -> "ConvexBody":
         c = Fraction(factor)
@@ -243,13 +250,8 @@ def _normalize_row(a, b):
     return ai, bv
 
 
-def from_hrep(dim, raw_rows, strict=False, name=None) -> ConvexBody:
-    """Build a body from rows (a, b) meaning a . x <= b.
-
-    Rows are gcd-normalized; the symmetric partner (-a, b) is auto-added
-    unless strict=True, in which case a missing partner is an error.  A
-    partner present with a different offset is always rejected.
-    """
+def _hrep_rows(dim, raw_rows, strict=False) -> tuple[HRow, ...]:
+    """The checked rows of ``from_hrep``: normalized, symmetric and sorted."""
     if dim < 1:
         raise DegenerateBodyError("dimension must be >= 1")
     table: dict[tuple[int, ...], Fraction] = {}
@@ -275,7 +277,17 @@ def from_hrep(dim, raw_rows, strict=False, name=None) -> ConvexBody:
     for ai in table:
         if table[ai] != table[vec_neg(ai)]:
             raise SymmetryError(f"rows for {ai} break origin symmetry")
-    rows = tuple(sorted(table.items()))
+    return tuple(sorted(table.items()))
+
+
+def from_hrep(dim, raw_rows, strict=False, name=None) -> ConvexBody:
+    """Build a body from rows (a, b) meaning a . x <= b.
+
+    Rows are gcd-normalized; the symmetric partner (-a, b) is auto-added
+    unless strict=True, in which case a missing partner is an error.  A
+    partner present with a different offset is always rejected.
+    """
+    rows = _hrep_rows(dim, raw_rows, strict)
     body = ConvexBody(dim=dim, rows=rows, verts=None, bounding_box=(), name=name or f"hrep:{dim}d")
     # boundedness: every coordinate support must be finite
     box = []

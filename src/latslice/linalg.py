@@ -8,7 +8,7 @@ says otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -89,39 +89,49 @@ def mat_vec(m, v):
 
 
 def int_rank(rows) -> int:
-    """Rank of an integer (or rational) matrix via fraction-free elimination."""
-    work = [list(map(Fraction, r)) for r in rows if not is_zero(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(work):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            col += 1
+    """Rank of an integer (or rational) matrix via fraction-free elimination.
+
+    Each row is cleared of denominators, reduced against the echelon rows by
+    cross-multiplication (Bareiss 1968) and, if nonzero, divided by its
+    content and kept.  Entries stay integers throughout; the scan stops
+    once the rank reaches the column count.
+    """
+    echelon = []  # (pivot column, primitive integer row)
+    for r in rows:
+        den = lcm(*(a.denominator for a in r))
+        row = [a.numerator * (den // a.denominator) for a in r]
+        for col, prow in echelon:
+            c = row[col]
+            if c:
+                p = prow[col]
+                row = [p * x - c * y for x, y in zip(row, prow)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        for r in range(rank + 1, len(work)):
-            if work[r][col] != 0:
-                f = work[r][col] / prow[col]
-                for j in range(col, ncols):
-                    work[r][j] -= f * prow[j]
-        rank += 1
-        col += 1
-    return rank
+        g = content(row)
+        echelon.append((col, [x // g for x in row]))
+        if len(echelon) == len(row):
+            break
+    return len(echelon)
 
 
 def det_int(rows) -> int:
-    """Determinant of a square integer matrix (Bareiss, stays integral)."""
+    """Determinant of a square integer matrix.
+
+    Sizes 0 to 3 use the explicit formulas; larger ones run Bareiss
+    elimination, which stays integral.
+    """
     n = len(rows)
     if n == 0:
         return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [list(r) for r in rows]
     sign = 1
     prev = 1

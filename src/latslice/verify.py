@@ -258,7 +258,8 @@ def verify_unconditional(body, dim_cap=None, seed=None) -> SlicingReport:
     chain = [ChainEntry("coordinate-dominance", dominance, "; ".join(details))]
 
     sm = successive_minima(body)
-    gauges = sorted(body.gauge(tuple(1 if j == i else 0 for j in range(d))) for i in range(d))
+    coord_gauges = [body.gauge(tuple(1 if j == i else 0 for j in range(d))) for i in range(d)]
+    gauges = sorted(coord_gauges)
     chain.append(
         ChainEntry(
             "coordinate-minima",
@@ -270,7 +271,6 @@ def verify_unconditional(body, dim_cap=None, seed=None) -> SlicingReport:
         )
     )
     lam_d = sm.lambdas[-1]
-    coord_gauges = [body.gauge(tuple(1 if j == i else 0 for j in range(d))) for i in range(d)]
     i_star = max(range(d), key=lambda i: (coord_gauges[i], -i))
     central_star = coord_profiles[i_star].central
     factor = 2 * floor(Fraction(1) / lam_d) + 1

@@ -16,6 +16,13 @@ Max slice: ``max_slice`` builds one ``LatticeSubspace`` per m-subset
 (``_subspaces_from_vectors``) and rescans every point of K for every
 candidate (``_count_in_subspace``), as the library did before it keyed spans
 by their Plücker vectors.
+
+Linear algebra: ``int_rank`` (Fraction elimination) and ``det_int``
+(Bareiss at every size) are kept as they were, so the fraction-free rank
+and the closed-form small minors in ``latslice.linalg`` can be compared with
+them; the old hull and max-slice code here uses this ``int_rank``.
+``polar_box`` is the polar's bounding box as ``from_hrep`` finds it, one
+support LP per axis, against which ``ConvexBody.polar``'s facet box is checked.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from latslice import hull
+from latslice import hull, lp
 from latslice.bodies import _volume_hrep
 from latslice.errors import SubspaceError
 from latslice.lattices import LatticeSubspace
@@ -32,7 +39,6 @@ from latslice.linalg import (
     dot,
     frac_vec,
     identity,
-    int_rank,
     is_zero,
     primitive,
     scale_to_int,
@@ -45,6 +51,73 @@ from latslice.slicing import (
     _polar_basis,
     _primitive_vectors,
 )
+
+
+def int_rank(rows) -> int:
+    """Rank of an integer (or rational) matrix via fraction-free elimination."""
+    work = [list(map(Fraction, r)) for r in rows if not is_zero(r)]
+    if not work:
+        return 0
+    ncols = len(work[0])
+    rank = 0
+    col = 0
+    while col < ncols and rank < len(work):
+        piv = None
+        for r in range(rank, len(work)):
+            if work[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            col += 1
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        prow = work[rank]
+        for r in range(rank + 1, len(work)):
+            if work[r][col] != 0:
+                f = work[r][col] / prow[col]
+                for j in range(col, ncols):
+                    work[r][j] -= f * prow[j]
+        rank += 1
+        col += 1
+    return rank
+
+
+def det_int(rows) -> int:
+    """Determinant of a square integer matrix (Bareiss, stays integral)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = None
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    swap = r
+                    break
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def polar_box(body):
+    """Bounding box of a V-rep body's polar: one support LP per axis."""
+    d = body.dim
+    polar = body.polar()
+    polar_verts = [tuple(Fraction(ai) / b for ai in a) for a, b in polar.rows]
+    return tuple(
+        lp.min_combination(polar_verts, tuple(Fraction(int(k == j)) for k in range(d)))
+        for j in range(d)
+    )
 
 
 def _floor_div(p, q):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from latslice import hull
+from latslice import hull, lp
 from latslice import (
     DegenerateBodyError,
     DimensionMismatchError,
@@ -22,7 +22,11 @@ from latslice import (
     polar_volume,
     volume,
 )
-from latslice.verify import random_symmetric_body
+from latslice.verify import (
+    random_rational_symmetric_2d,
+    random_symmetric_body,
+    random_unconditional_body,
+)
 
 
 def wide_box():
@@ -306,6 +310,58 @@ def test_both_volumes_run_one_hull(monkeypatch):
 def test_polar_volume_d5_matches_hrep_route():
     b = random_symmetric_body(5, 0, points=5)
     assert polar_volume(b).value == volume(b.polar()).value
+
+
+def _diamond(d, seed):
+    """The first V-rep (Fraction-vertex diamond) ``random_unconditional_body`` from seed on."""
+    while (body := random_unconditional_body(d, seed)).verts is None:
+        seed += 1
+    return body
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["random:2", "random:3", "random:4", "rational", "diamond:2", "diamond:3", "diamond:4"]),
+    st.integers(0, 10**4),
+)
+def test_polar_box_matches_support_lp(kind, seed):
+    if kind == "rational":
+        body = random_rational_symmetric_2d(seed)
+    elif kind.startswith("random"):
+        body = random_symmetric_body(int(kind[-1]), seed)
+    else:
+        body = _diamond(int(kind[-1]), seed)
+    assert body.polar().bounding_box == oracle.polar_box(body)
+
+
+def test_polar_box_fixed_bodies_match_support_lp():
+    bodies = [cross(d) for d in range(1, 5)]
+    # interior points and edge midpoints among the generators
+    bodies.append(from_vertices([(3, 0), (0, 2), (Fraction(3, 2), 1), (1, 0), (0, 0), (1, 1)]))
+    half = Fraction(1, 2)
+    bodies.append(from_vertices([(1, 0, 0), (0, 1, 0), (0, 0, 2), (half, half, 0), (0, 0, 1)]))
+    for body in bodies:
+        polar = body.polar()
+        assert polar.bounding_box == oracle.polar_box(body)
+        assert polar == from_hrep(body.dim, [(v, 1) for v in body.verts], name=polar.name)
+
+
+def test_polar_runs_no_lp(monkeypatch):
+    calls = []
+    min_combination = lp.min_combination
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return min_combination(*args, **kwargs)
+
+    for seed in range(3):
+        b = random_symmetric_body(3, seed, points=3, spread=3)
+        b.facets  # every chain has built them for lattice_points before it asks for the polar
+        monkeypatch.setattr(lp, "min_combination", counted)
+        polar = b.polar()
+        monkeypatch.undo()
+        assert calls == []
+        assert polar.bounding_box == oracle.polar_box(b)
 
 
 def test_scale():

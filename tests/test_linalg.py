@@ -1,8 +1,9 @@
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracle
 from latslice import linalg
 
 
@@ -48,6 +49,54 @@ def test_det_matches_laplace(rows):
 @given(st.lists(st.tuples(small_int, small_int, small_int), min_size=1, max_size=4))
 def test_rank_matches_brute_force(rows):
     assert linalg.int_rank(rows) == brute_rank(rows)
+
+
+@st.composite
+def matrices(draw, entry, max_rows=6, max_cols=5):
+    """Up to max_rows x max_cols, with zero, duplicate and dependent rows mixed in."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(["free", "zero", "copy", "combo"] if rows else ["free", "zero"]))
+        if kind == "free":
+            row = tuple(draw(entry) for _ in range(ncols))
+        elif kind == "zero":
+            row = (0 * draw(entry),) * ncols
+        elif kind == "copy":
+            row = draw(st.sampled_from(rows))
+        else:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            row = tuple(s * x + t * y for x, y in zip(u, v))
+        rows.append(row)
+    return rows
+
+
+small_frac = st.builds(Fraction, small_int, st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(matrices(small_int), matrices(small_frac)))
+@example([])
+@example([(Fraction(1, 2), 1), (1, 2)])
+@example([(1, 0), (0, 1), (5, 7), (0, 0)])
+def test_rank_matches_fraction_oracle(rows):
+    assert linalg.int_rank(rows) == oracle.int_rank(rows)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 5))
+    rows = [[draw(small_int) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices())
+def test_det_matches_bareiss_oracle(rows):
+    assert linalg.det_int(rows) == oracle.det_int(rows)
 
 
 def test_solve_rational():
