@@ -4,6 +4,11 @@ A body is either an H-rep (normalized integer facet normals with rational
 offsets, stored in +/- pairs) or a V-rep (rational hull generators in
 +/- pairs).  Every predicate is an exact rational comparison; dilation
 roots are never taken (callers compare d-th powers instead).
+
+Each body owns one hull.  A V-rep body hulls its generators; an H-rep body
+hulls its cached V-rep dual conv(a / b), which is also its polar.  Gauge and
+membership read the facet rows, and both volumes read the one hull's
+facet–point incidence, in either direction.
 """
 
 from __future__ import annotations
@@ -48,7 +53,10 @@ def exact_dim_cap(override=None) -> int:
         return int(override)
     env = os.environ.get(EXACT_DIM_CAP_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{EXACT_DIM_CAP_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_EXACT_DIM_CAP
 
 
@@ -112,9 +120,15 @@ class ConvexBody:
         return tuple(lattices._listing(self))
 
     @cached_property
+    def _dual(self) -> "ConvexBody":
+        """The polar of an H-rep body as a V-rep body, conv(a / b) over its rows."""
+        verts = [tuple(Fraction(ai) / b for ai in a) for a, b in self.rows]
+        return from_vertices(verts, name=f"polar({self.name})")
+
+    @cached_property
     def _exact_volume(self) -> Fraction:
         if self.rows is not None:
-            return _volume_hrep(self.int_rows, self.dim)
+            return self._dual._polar_exact_volume
         pts, L = self._vrep_scaled
         masks = [sum(1 << i for i in f.active) for f in self.facets]
         return hull.face_volume(pts, masks, self.dim) / Fraction(L) ** self.dim
@@ -122,7 +136,7 @@ class ConvexBody:
     @cached_property
     def _polar_exact_volume(self) -> Fraction:
         if self.rows is not None:
-            return self.polar()._exact_volume
+            return self._dual._exact_volume
         pts, L = self._vrep_scaled
         facets = self.facets
         # facet a . x <= b of the scaled hull is the polar vertex a * L / b,
@@ -148,30 +162,25 @@ class ConvexBody:
     def contains(self, point) -> bool:
         """Exact closed-body membership."""
         x = self._check_point(point)
-        if self.rows is not None:
-            return all(dot(a, x) <= b for a, b in self.rows)
-        if is_zero(x):
-            return True
-        return self.gauge(x) <= 1
+        return all(dot(a, x) <= b for a, b in self.facet_rows)
 
     def gauge(self, point) -> Fraction:
         """Minkowski functional min{t > 0 : point in t*K}, exact."""
         x = self._check_point(point)
         if is_zero(x):
             raise ValueError("gauge of the zero vector")
-        if self.rows is not None:
-            best = Fraction(0)
-            for a, b in self.rows:
-                s = dot(a, x)
-                if s > 0:
-                    best = max(best, Fraction(s) / b)
-            if best == 0:
-                raise UnboundedBodyError("gauge vanished on a nonzero vector")
-            return best
-        g = lp.min_combination(self.verts, x)
-        if g is None or g == 0:
-            raise UnboundedBodyError("gauge LP infeasible for a spanning V-rep")
-        return g
+        return self._facet_gauge(x)
+
+    def _facet_gauge(self, x) -> Fraction:
+        """max a . x / b over the facet rows, for a nonzero x of the right length."""
+        best = Fraction(0)
+        for a, b in self.facet_rows:
+            s = dot(a, x)
+            if s > 0:
+                g = Fraction(s) / b
+                if g > best:
+                    best = g
+        return best
 
     def support(self, direction) -> Fraction:
         """Support function h_K(u) = max{u . x : x in K}, exact."""
@@ -207,17 +216,19 @@ class ConvexBody:
     def polar(self) -> "ConvexBody":
         """Polar body {y : y . x <= 1 for all x in K}; swaps representations.
 
-        The polar of a V-rep body takes its bounding box from K's cached
+        An H-rep body returns its cached dual.  The polar of a V-rep body K
+        takes K itself as its dual (K°° = K), so its volumes read K's hull;
+        K keeps no reference back.  Its bounding box comes from K's cached
         facets, with no LP: h_{K°}(e_j) = gauge_K(e_j) = max a_j / b over
         the facets a . x <= b.
         """
-        name = f"polar({self.name})"
         if self.rows is not None:
-            verts = [tuple(Fraction(ai) / b for ai in a) for a, b in self.rows]
-            return from_vertices(verts, name=name)
+            return self._dual
         rows = _hrep_rows(self.dim, [(v, Fraction(1)) for v in self.verts])
         box = tuple(max(a[j] / b for a, b in self.facet_rows) for j in range(self.dim))
-        return ConvexBody(dim=self.dim, rows=rows, verts=None, bounding_box=box, name=name)
+        polar = ConvexBody(dim=self.dim, rows=rows, verts=None, bounding_box=box, name=f"polar({self.name})")
+        object.__setattr__(polar, "_dual", self)
+        return polar
 
     def scale(self, factor) -> "ConvexBody":
         c = Fraction(factor)
@@ -306,7 +317,9 @@ def from_vertices(raw_verts, strict=False, name=None, dim=None) -> ConvexBody:
     verts = [frac_vec(v) for v in raw_verts]
     if not verts:
         raise DegenerateBodyError("no vertices")
-    d = dim or len(verts[0])
+    d = len(verts[0]) if dim is None else dim
+    if d < 1:
+        raise DegenerateBodyError("dimension must be >= 1")
     if any(len(v) != d for v in verts):
         raise DimensionMismatchError("vertex length differs from dim")
     vert_set = {tuple(v) for v in verts}
@@ -359,26 +372,42 @@ def box(radii) -> ConvexBody:
 def _parse_fraction(s) -> Fraction:
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise BodyFormatError(f"bad rational literal {s!r}") from exc
 
 
+def _json_list(x, what) -> list:
+    if not isinstance(x, list):
+        raise BodyFormatError(f"{what} must be a list, got {x!r}")
+    return x
+
+
 def body_from_dict(data, strict=False, name=None) -> ConvexBody:
+    if not isinstance(data, dict):
+        raise BodyFormatError("body file must hold a JSON object")
+    d = None
+    if "dim" in data:
+        try:
+            d = int(data["dim"])
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise BodyFormatError(f"bad dim {data['dim']!r}") from exc
     if "hrep" in data:
-        if "dim" not in data:
+        if d is None:
             raise BodyFormatError("hrep body file needs a dim field")
-        d = int(data["dim"])
         rows = []
-        for entry in data["hrep"]:
+        for entry in _json_list(data["hrep"], "hrep"):
             try:
                 a_raw, b_raw = entry
             except (TypeError, ValueError) as exc:
                 raise BodyFormatError("hrep entries must be [[a1,...], b]") from exc
-            rows.append(([_parse_fraction(x) for x in a_raw], _parse_fraction(b_raw)))
+            a = [_parse_fraction(x) for x in _json_list(a_raw, "an hrep normal")]
+            rows.append((a, _parse_fraction(b_raw)))
         return from_hrep(d, rows, strict=strict, name=name)
     if "vrep" in data:
-        verts = [[_parse_fraction(x) for x in v] for v in data["vrep"]]
-        d = int(data["dim"]) if "dim" in data else None
+        verts = [
+            [_parse_fraction(x) for x in _json_list(v, "a vrep vertex")]
+            for v in _json_list(data["vrep"], "vrep")
+        ]
         return from_vertices(verts, strict=strict, name=name, dim=d)
     raise BodyFormatError("body file needs an hrep or vrep field")
 
@@ -429,80 +458,6 @@ def _parse_dim(s) -> int:
 # -- volume ---------------------------------------------------------------------
 
 
-def _dedupe_rows(rows):
-    table = {}
-    for a, b in rows:
-        if a in table:
-            table[a] = min(table[a], b)
-        else:
-            table[a] = b
-    return list(table.items())
-
-
-def _interval_length(rows):
-    hi = None
-    lo = None
-    for a, b in rows:
-        c = a[0]
-        if c > 0:
-            v = Fraction(b, c)
-            hi = v if hi is None else min(hi, v)
-        elif c < 0:
-            v = Fraction(b, c)
-            lo = v if lo is None else max(lo, v)
-        elif b < 0:
-            return Fraction(0)
-    if hi is None or lo is None:
-        raise UnboundedBodyError("unbounded 1d section in volume recursion")
-    return max(hi - lo, Fraction(0))
-
-
-def _volume_hrep(rows, n) -> Fraction:
-    """Exact volume of {x : a . x <= b} by facet substitution.
-
-    Each facet hyperplane is eliminated fraction-free (rows rescaled by
-    the positive pivot), the offset-over-pivot factor supplying both the
-    distance to the facet and the projection Jacobian.  Redundant rows
-    only produce empty or flat sub-facets, which contribute zero.
-    """
-    rows = _dedupe_rows(rows)
-    if n == 1:
-        return _interval_length(rows)
-    total = Fraction(0)
-    for i, (a, b) in enumerate(rows):
-        j = max(range(n), key=lambda k: abs(a[k]))
-        m = abs(a[j])
-        s = 1 if a[j] > 0 else -1
-        sub = []
-        empty = False
-        for k, (c, e) in enumerate(rows):
-            if k == i:
-                continue
-            cj = c[j]
-            if cj == 0:
-                nc = c[:j] + c[j + 1 :]
-                ne = e
-            else:
-                nc = tuple(m * c[l] - s * cj * a[l] for l in range(n) if l != j)
-                ne = m * e - s * cj * b
-            if all(x == 0 for x in nc):
-                if ne < 0:
-                    empty = True
-                    break
-                continue
-            g = gcd(content(nc), abs(ne))
-            if g > 1:
-                nc = tuple(x // g for x in nc)
-                ne = ne // g
-            sub.append((nc, ne))
-        if empty:
-            continue
-        if not sub:
-            raise UnboundedBodyError("unbounded facet in volume recursion")
-        total += Fraction(b, m) * _volume_hrep(sub, n - 1)
-    return total / n
-
-
 def _check_exact_dim(body, dim_cap):
     cap = exact_dim_cap(dim_cap)
     if body.dim > cap:
@@ -542,10 +497,11 @@ def volume(body, mode="exact", dim_cap=None, samples=10_000, seed=0) -> Volume:
 def polar_volume(body, dim_cap=None) -> Volume:
     """Exact volume of the polar body.
 
-    For a V-rep body both volumes come from one hull: the primal facets are
-    the polar's vertices, and the facet–generator incidence, read the other
-    way round, gives the polar's facets.  A pulling triangulation over that
-    incidence (``hull.face_volume``) needs no hull of the polar.
+    Both volumes come from one hull: a V-rep body's own, or the hull of an
+    H-rep body's dual.  The primal facets are the polar's vertices, and the
+    facet–generator incidence, read the other way round, gives the polar's
+    facets.  A pulling triangulation over that incidence
+    (``hull.face_volume``) needs no hull of the polar.
     """
     _check_exact_dim(body, dim_cap)
     return Volume(mode="exact", value=body._polar_exact_volume)

@@ -4,9 +4,11 @@ Only the equality-form problem the geometry needs is exposed:
 
     minimize sum(mu)  subject to  sum(mu_i * w_i) = target,  mu >= 0
 
-which evaluates the gauge of a V-rep body and, applied to polar vertices,
-the support function of an H-rep body.  Problems here are desk scale
-(tens of columns), so a dense tableau is plenty.
+which, applied to the polar vertices a / b, evaluates the support function
+of an H-rep body: ``ConvexBody.support`` and the bounding box that
+``from_hrep`` takes from it.  (Gauges read facet rows and need no LP.)
+Problems here are desk scale (tens of columns), so a dense tableau is
+plenty.
 """
 
 from __future__ import annotations

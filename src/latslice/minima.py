@@ -10,7 +10,7 @@ from math import factorial
 from .bodies import Volume, volume
 from .errors import ProgressionError
 from .lattices import Lattice, enumerate_points
-from .linalg import dot, int_rank, is_zero
+from .linalg import int_rank, is_zero
 
 __all__ = [
     "SuccessiveMinima",
@@ -34,22 +34,6 @@ class SuccessiveMinima:
     directional_basis: tuple[tuple[int, ...], ...]
 
 
-def _row_gauge(body, x):
-    """Gauge via the facet rows; exact and cheap once facets are cached."""
-    best = Fraction(0)
-    for a, b in body.facet_rows:
-        s = dot(a, x)
-        if s > 0:
-            g = Fraction(s) / b
-            if g > best:
-                best = g
-    return best
-
-
-def _row_contains(body, x) -> bool:
-    return all(dot(a, x) <= b for a, b in body.facet_rows)
-
-
 def _witness_key(scored):
     """Deterministic tie order: gauge, then 1-norm, then descending lex.
 
@@ -69,12 +53,12 @@ def successive_minima(body, lattice=None) -> SuccessiveMinima:
     """
     lat = lattice or Lattice.standard(body.dim)
     k = lat.rank
-    r_cap = max(_row_gauge(body, col) for col in lat.basis)
+    r_cap = max(body._facet_gauge(col) for col in lat.basis)
     r = min(Fraction(1), r_cap)
     while True:
         pts = enumerate_points(body, lat, scale=r)
         scored = sorted(
-            ((_row_gauge(body, p), p) for p in pts if not is_zero(p)),
+            ((body._facet_gauge(p), p) for p in pts if not is_zero(p)),
             key=_witness_key,
         )
         lambdas: list[Fraction] = []
@@ -199,7 +183,7 @@ def progression_volume_bound(p, body, dim_cap=None) -> ProgressionBoundReport:
         raise ProgressionError("progression is not proper")
     if any(n < 1 for n in p.N):
         raise ProgressionError("volume bound needs all N_i >= 1")
-    contained = all(_row_contains(body, pt) for pt in progression_image(p))
+    contained = all(body.contains(pt) for pt in progression_image(p))
     from .linalg import det_int
 
     lb = Fraction(abs(det_int([list(v) for v in p.vectors])))
@@ -224,7 +208,7 @@ def heuristic_progression(body) -> Progression:
     while True:
         outside = None
         for pt in _image_set(tuple(N), vectors):
-            if not _row_contains(body, pt):
+            if not body.contains(pt):
                 outside = pt
                 break
         if outside is None:

@@ -17,7 +17,7 @@ from math import factorial, floor, gcd
 
 from .bodies import ConvexBody, box, from_hrep, from_vertices, polar_volume, volume
 from .errors import DegenerateBodyError, LatsliceError, SymmetryError
-from .hull import graham_hull
+from .hull import graham_hull, hull_facets
 from .lattices import (
     LatticeSubspace,
     count_points,
@@ -70,21 +70,6 @@ class PickQuantities:
     identity_holds: bool
 
 
-def _polygon_rows(hull_pts):
-    rows = []
-    n = len(hull_pts)
-    for i in range(n):
-        p, q = hull_pts[i], hull_pts[(i + 1) % n]
-        a = (q[1] - p[1], p[0] - q[0])  # inward-normalized below
-        b = a[0] * p[0] + a[1] * p[1]
-        # orient so that the remaining vertices satisfy a . x <= b
-        r = hull_pts[(i + 2) % n]
-        if a[0] * r[0] + a[1] * r[1] > b:
-            a, b = (-a[0], -a[1]), -b
-        rows.append((a, b))
-    return rows
-
-
 def pick_quantities(polygon) -> PickQuantities:
     """Area, interior and boundary counts of an integral convex polygon.
 
@@ -113,7 +98,8 @@ def pick_quantities(polygon) -> PickQuantities:
     area = Fraction(abs(area2), 2)
     xs = [p[0] for p in hull_pts]
     ys = [p[1] for p in hull_pts]
-    total = count_runs(_polygon_rows(hull_pts), [(min(xs), max(xs)), (min(ys), max(ys))])
+    rows = [(f.normal, f.offset) for f in hull_facets(hull_pts, 2)]
+    total = count_runs(rows, [(min(xs), max(xs)), (min(ys), max(ys))])
     interior = total - bcount
     holds = area == interior + Fraction(bcount, 2) - 1
     return PickQuantities(A=area, I=interior, B=bcount, identity_holds=holds)
@@ -494,6 +480,8 @@ def gauss_scaling(body, radii, hyperplane=None, dim_cap=None) -> GaussScalingRep
     d = body.dim
     vol = Fraction(volume(body, dim_cap=dim_cap).value)
     rs = [Fraction(r) for r in radii]
+    if not rs:
+        raise ValueError("gauss scaling needs at least one radius")
     counts, expect, absd, reld = [], [], [], []
     for r in rs:
         c = count_points(body, scale=r).total
@@ -564,7 +552,7 @@ def random_unconditional_body(d, seed) -> ConvexBody:
 
     Radii shrink with the dimension to keep point counts at desk scale;
     the diagonal-cut variant stays at d <= 3 where its 2^d extra facets
-    are still cheap for the exact volume recursion.
+    still keep the dual hull behind the exact volume cheap.
     """
     rng = random.Random(seed)
     shape = rng.choice(["box", "diamond", "intersection"] if d <= 3 else ["box", "diamond"])
@@ -586,7 +574,9 @@ def random_unconditional_body(d, seed) -> ConvexBody:
     rows = []
     for i in range(d):
         a = tuple(1 if j == i else 0 for j in range(d))
-        rows.append((a, radius()))
+        # partner given: in d = 1 the weighted rows below share these normals
+        r = radius()
+        rows += [(a, r), (tuple(-x for x in a), r)]
     weights = [Fraction(1, rng.randint(2, 6)) for _ in range(d)]
     offset = Fraction(rng.randint(1, 2))
     # all sign patterns of the weighted row keep the body unconditional

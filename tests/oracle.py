@@ -3,14 +3,18 @@
 Test-only.  Enumeration: ``_scan``, ``_count_scan``, the ``_body_system`` /
 ``_lattice_system`` row systems and ``_polygon_lattice_total`` are kept as they
 were in the library, so the kernel in ``latslice.lattices`` can be compared
-with them point for point.  ``enumerate_points`` and ``count_points`` here
-are the old public entry points without the ``by_normal`` option.
+with them point for point; ``_polygon_rows`` builds the polygon's edge rows
+for that total as ``verify`` did before it read them from the 2D hull.
+``enumerate_points`` and ``count_points`` here are the old public entry
+points without the ``by_normal`` option.
 
 Volumes: ``hull_volume`` (the fan that re-hulls every facet projection),
 ``hull_vertex_indices``, ``rational_hull_volume`` and ``polar_volume`` (the
 fan over the primal vertices that re-hulls each vertex's polar facet) are
 kept as they were, so ``latslice.hull.face_volume`` and the cached body
-volumes can be compared with them.
+volumes can be compared with them.  ``_volume_hrep`` (with ``_dedupe_rows``
+and ``_interval_length``) is the facet-substitution recursion that gave an
+H-rep body its volume before the body read it from its dual's hull.
 
 Max slice: ``max_slice`` builds one ``LatticeSubspace`` per m-subset
 (``_subspaces_from_vectors``) and rescans every point of K for every
@@ -29,13 +33,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from latslice import hull, lp
-from latslice.bodies import _volume_hrep
-from latslice.errors import SubspaceError
+from latslice.errors import SubspaceError, UnboundedBodyError
 from latslice.lattices import LatticeSubspace
 from latslice.linalg import (
+    content,
     dot,
     frac_vec,
     identity,
@@ -280,6 +284,21 @@ def count_points(body, lattice=None, scale=Fraction(1)) -> int:
     return _count_scan(*_lattice_system(body, lattice, scale))
 
 
+def _polygon_rows(hull_pts):
+    rows = []
+    n = len(hull_pts)
+    for i in range(n):
+        p, q = hull_pts[i], hull_pts[(i + 1) % n]
+        a = (q[1] - p[1], p[0] - q[0])  # inward-normalized below
+        b = a[0] * p[0] + a[1] * p[1]
+        # orient so that the remaining vertices satisfy a . x <= b
+        r = hull_pts[(i + 2) % n]
+        if a[0] * r[0] + a[1] * r[1] > b:
+            a, b = (-a[0], -a[1]), -b
+        rows.append((a, b))
+    return rows
+
+
 def _polygon_lattice_total(rows, hull_pts):
     xs = [p[0] for p in hull_pts]
     total = 0
@@ -349,6 +368,80 @@ def rational_hull_volume(points, dim) -> Fraction:
     """Exact hull volume of rational points (scaled to integers internally)."""
     scaled, L = scale_to_int([frac_vec(p) for p in points])
     return hull_volume(scaled, dim) / Fraction(L) ** dim
+
+
+def _dedupe_rows(rows):
+    table = {}
+    for a, b in rows:
+        if a in table:
+            table[a] = min(table[a], b)
+        else:
+            table[a] = b
+    return list(table.items())
+
+
+def _interval_length(rows):
+    hi = None
+    lo = None
+    for a, b in rows:
+        c = a[0]
+        if c > 0:
+            v = Fraction(b, c)
+            hi = v if hi is None else min(hi, v)
+        elif c < 0:
+            v = Fraction(b, c)
+            lo = v if lo is None else max(lo, v)
+        elif b < 0:
+            return Fraction(0)
+    if hi is None or lo is None:
+        raise UnboundedBodyError("unbounded 1d section in volume recursion")
+    return max(hi - lo, Fraction(0))
+
+
+def _volume_hrep(rows, n) -> Fraction:
+    """Exact volume of {x : a . x <= b} by facet substitution.
+
+    Each facet hyperplane is eliminated fraction-free (rows rescaled by
+    the positive pivot), the offset-over-pivot factor supplying both the
+    distance to the facet and the projection Jacobian.  Redundant rows
+    only produce empty or flat sub-facets, which contribute zero.
+    """
+    rows = _dedupe_rows(rows)
+    if n == 1:
+        return _interval_length(rows)
+    total = Fraction(0)
+    for i, (a, b) in enumerate(rows):
+        j = max(range(n), key=lambda k: abs(a[k]))
+        m = abs(a[j])
+        s = 1 if a[j] > 0 else -1
+        sub = []
+        empty = False
+        for k, (c, e) in enumerate(rows):
+            if k == i:
+                continue
+            cj = c[j]
+            if cj == 0:
+                nc = c[:j] + c[j + 1 :]
+                ne = e
+            else:
+                nc = tuple(m * c[l] - s * cj * a[l] for l in range(n) if l != j)
+                ne = m * e - s * cj * b
+            if all(x == 0 for x in nc):
+                if ne < 0:
+                    empty = True
+                    break
+                continue
+            g = gcd(content(nc), abs(ne))
+            if g > 1:
+                nc = tuple(x // g for x in nc)
+                ne = ne // g
+            sub.append((nc, ne))
+        if empty:
+            continue
+        if not sub:
+            raise UnboundedBodyError("unbounded facet in volume recursion")
+        total += Fraction(b, m) * _volume_hrep(sub, n - 1)
+    return total / n
 
 
 def exact_volume(body) -> Fraction:

@@ -33,6 +33,61 @@ def wide_box():
     return box([3, Fraction(1, 2)])
 
 
+def _diamond(d, seed):
+    """The first V-rep (Fraction-vertex diamond) ``random_unconditional_body`` from seed on."""
+    while (body := random_unconditional_body(d, seed)).verts is None:
+        seed += 1
+    return body
+
+
+VREP_KINDS = ["random:2", "random:3", "random:4", "rational", "diamond:2", "diamond:3", "diamond:4"]
+
+
+def _vrep_body(kind, seed):
+    """A V-rep body of one of ``VREP_KINDS``."""
+    if kind == "rational":
+        return random_rational_symmetric_2d(seed)
+    if kind.startswith("random"):
+        return random_symmetric_body(int(kind[-1]), seed)
+    return _diamond(int(kind[-1]), seed)
+
+
+def _hrep_body(kind, d, seed):
+    """An H-rep body: cube, box, ``random_unconditional_body`` or random symmetric rows."""
+    import random
+
+    rng = random.Random(seed)
+    if kind == "cube":
+        return cube(d)
+    if kind == "box":
+        return box([Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(d)])
+    if kind == "unconditional":
+        body = random_unconditional_body(d, seed)
+        # its diamonds are V-rep: take their facet rows
+        return body if body.rows is not None else from_hrep(d, body.facet_rows)
+    # a box keeps the body bounded; the extra rows cut it, some redundantly
+    normals = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    extra = rng.randint(1, {1: 2, 2: 5, 3: 4, 4: 2}[d])
+    normals += [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(extra)]
+    rows = []
+    for a in normals:
+        b = Fraction(rng.randint(1, 12), rng.randint(1, 3))
+        rows += [(a, b), (tuple(-x for x in a), b)]
+    return from_hrep(d, rows)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 # -- membership ------------------------------------------------------------
 
 
@@ -89,6 +144,42 @@ def test_gauge_homogeneity_and_membership(x, y, c):
     assert b.contains((x, y)) == (g <= 1)
     if c != 0:
         assert b.gauge((c * x, c * y)) == abs(c) * g
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(VREP_KINDS), st.integers(0, 10**4), st.data())
+def test_vrep_gauge_and_contains_match_lp(kind, seed, data):
+    body = _vrep_body(kind, seed)
+    d = body.dim
+    coords = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    points = list(body.verts)
+    points += [tuple((x + y) / 2 for x, y in zip(u, v)) for u, v in zip(body.verts, body.verts[1:])]
+    points += data.draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=6))
+    for x in points:
+        if not any(x):
+            assert body.contains(x)
+            continue
+        g = lp.min_combination(body.verts, x)
+        assert body.gauge(x) == g
+        assert body.contains(x) == (g <= 1)
+        # x / g lies on the boundary
+        edge = tuple(xi / g for xi in x)
+        assert body.contains(edge)
+        assert not body.contains(tuple(xi * Fraction(101, 100) for xi in edge))
+
+
+def test_vrep_gauge_and_contains_run_no_lp(monkeypatch):
+    from latslice.verify import verify_unconditional
+
+    for d in (2, 3, 4):
+        body = body_from_dict(body_to_dict(_diamond(d, 0)))
+        calls = _count_calls(monkeypatch, lp, "min_combination")
+        e = tuple(int(j == 0) for j in range(d))
+        body.gauge(e)
+        body.contains(e)
+        assert verify_unconditional(body).ok
+        monkeypatch.undo()
+        assert calls == []
 
 
 def test_gauge_hrep_vrep_agree():
@@ -291,46 +382,69 @@ def test_volumes_match_fan_oracle(d, seed):
 
 
 def test_both_volumes_run_one_hull(monkeypatch):
-    calls = []
-    hull_facets = hull.hull_facets
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return hull_facets(*args, **kwargs)
-
-    monkeypatch.setattr(hull, "hull_facets", counted)
-    for seed in range(3):
+    bodies = [random_symmetric_body(4, seed, points=3) for seed in range(3)]
+    # fresh H-rep bodies: their dual's hull serves both volumes, and their polar's
+    for kind in ("cube", "box", "unconditional", "rows"):
+        bodies += [body_from_dict(body_to_dict(_hrep_body(kind, d, d))) for d in range(1, 5)]
+    calls = _count_calls(monkeypatch, hull, "hull_facets")
+    for b in bodies:
         calls.clear()
-        b = random_symmetric_body(4, seed, points=3)
         volume(b)
         polar_volume(b)
+        volume(b.polar())
+        polar_volume(b.polar())
         assert len(calls) == 1
+        if b.rows is not None:
+            assert b.polar() is b.polar()
+        else:
+            assert b.polar().polar() is b
 
 
 def test_polar_volume_d5_matches_hrep_route():
     b = random_symmetric_body(5, 0, points=5)
-    assert polar_volume(b).value == volume(b.polar()).value
+    polar = b.polar()
+    expected = oracle._volume_hrep(polar.int_rows, 5)
+    assert polar_volume(b).value == expected
+    assert volume(polar).value == expected
 
 
-def _diamond(d, seed):
-    """The first V-rep (Fraction-vertex diamond) ``random_unconditional_body`` from seed on."""
-    while (body := random_unconditional_body(d, seed)).verts is None:
-        seed += 1
-    return body
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["cube", "box", "unconditional", "rows"]), st.integers(1, 4), st.integers(0, 10**6))
+def test_hrep_volumes_match_recursion_oracle(kind, d, seed):
+    body = _hrep_body(kind, d, seed)
+    assert volume(body).value == oracle._volume_hrep(body.int_rows, d)
+    # K°'s rows are the facets of K's dual, conv(a / b)
+    polar_rows = from_hrep(d, body.polar().facet_rows).int_rows
+    assert polar_volume(body).value == oracle._volume_hrep(polar_rows, d)
+
+
+def test_unconditional_generator_d1_intersection():
+    # the weighted rows of the intersection shape are coordinate rows in d = 1
+    body = random_unconditional_body(1, 715)
+    assert body.is_unconditional()
+    assert volume(body).value == oracle._volume_hrep(body.int_rows, 1)
+
+
+def test_hrep_volume_too_many_rows_is_bounded():
+    import random
+    import time
+
+    rng = random.Random(0)
+    rows = [(tuple(int(j == i) for j in range(5)), 4) for i in range(5)]
+    while len(rows) < 40:
+        rows.append((tuple(rng.randint(-4, 4) for _ in range(5)), rng.randint(5, 20)))
+    body = from_hrep(5, rows)
+    assert len(body.rows) >= 78
+    start = time.perf_counter()
+    with pytest.raises(hull.HullSizeError):
+        volume(body)
+    assert time.perf_counter() - start < 1
 
 
 @settings(max_examples=20, deadline=None)
-@given(
-    st.sampled_from(["random:2", "random:3", "random:4", "rational", "diamond:2", "diamond:3", "diamond:4"]),
-    st.integers(0, 10**4),
-)
+@given(st.sampled_from(VREP_KINDS), st.integers(0, 10**4))
 def test_polar_box_matches_support_lp(kind, seed):
-    if kind == "rational":
-        body = random_rational_symmetric_2d(seed)
-    elif kind.startswith("random"):
-        body = random_symmetric_body(int(kind[-1]), seed)
-    else:
-        body = _diamond(int(kind[-1]), seed)
+    body = _vrep_body(kind, seed)
     assert body.polar().bounding_box == oracle.polar_box(body)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from latslice.cli import main
 
 
@@ -237,3 +239,42 @@ def test_volume_mc_non_positive_samples_exit1(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_gauss_empty_radii_exit1(capsys):
+    code, out, err = run(capsys, "gauss", "--body", "cube:2", "--radii", ",")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vrep": [5]}',
+        '{"dim": 2, "hrep": 5}',
+        '"vrep"',
+        '["hrep", "dim"]',
+        '{"dim": [2], "hrep": []}',
+        '{"vrep": [[[1]]]}',
+        '{"vrep": [[]]}',
+        '{"dim": 0, "vrep": [[1]]}',
+    ],
+    ids=["vertex-int", "hrep-int", "top-string", "top-list", "dim-list", "coord-list", "vertex-empty", "dim-0"],
+)
+def test_malformed_body_file_exit1(tmp_path, capsys, text):
+    path = tmp_path / "body.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "volume", "--body", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_env_cap_not_an_integer_exit1(capsys, monkeypatch):
+    monkeypatch.setenv("LATSLICE_EXACT_DIM_CAP", "abc")
+    code, out, err = run(capsys, "volume", "--body", "cube:2")
+    assert code == 1
+    assert out == ""
+    assert "LATSLICE_EXACT_DIM_CAP" in err and "'abc'" in err

@@ -16,12 +16,13 @@ from latslice import (
     cross,
     cube,
     enumerate_points,
+    polar_volume,
     sublattice,
+    volume,
 )
 from latslice import lattices
 from latslice.linalg import dot
 from latslice.verify import (
-    _polygon_rows,
     pick_quantities,
     random_polygon,
     random_rational_symmetric_2d,
@@ -67,7 +68,7 @@ def test_kernel_matches_recursive_oracle(case):
 def test_pick_total_matches_oracle(seed):
     hull_pts = random_polygon(seed)
     q = pick_quantities(hull_pts)
-    assert q.I + q.B == oracle._polygon_lattice_total(_polygon_rows(hull_pts), hull_pts)
+    assert q.I + q.B == oracle._polygon_lattice_total(oracle._polygon_rows(hull_pts), hull_pts)
 
 
 # -- scale validation ---------------------------------------------------------------
@@ -93,6 +94,13 @@ def test_results_hold_no_reference_cycles():
     try:
         enumerate_points(cube(3), scale=Fraction(5, 2))
         count_points(cube(3), scale=3)
+        # a body, its cached dual and the polar of a V-rep body hold no cycle
+        for body in (cube(3), random_unconditional_body(3, 2), cross(3), random_symmetric_body(3, 0)):
+            volume(body)
+            polar_volume(body)
+            volume(body.polar())
+            polar_volume(body.polar())
+            assert volume(body.polar().polar()).value == volume(body).value
         assert gc.collect() == 0
     finally:
         gc.enable()
