@@ -58,7 +58,13 @@ def _parse_subspace(text, d) -> LatticeSubspace:
 
 
 def _parse_radii(text):
-    return [Fraction(tok) for tok in text.split(",") if tok.strip()]
+    radii = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            radii.append(Fraction(tok))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise LatsliceError(f"bad radius {tok.strip()!r} in --radii") from exc
+    return radii
 
 
 def _emit(args, text_lines, payload):

@@ -7,6 +7,16 @@ from exact suffix minima over the box, and the final coordinate's range is
 exact.  It yields last-axis runs (prefix, lo, hi) in ascending
 lexicographic order; counting sums the run lengths, listing expands them.
 
+Every system built from a body is origin-symmetric: the body is symmetric
+by construction, the lattice passes through 0 and the box is symmetric.
+So the readers here walk only half of it (``_runs(..., half=True)``):
+the runs whose points are >=lex 0, the zero run ((0, ..., 0), 0, hi0)
+first.  The rest is the mirror z -> -z: a count doubles the half count
+less the origin, levels add each point's level and its negation, and a
+listing emits the mirrored runs (-p, -hi, -lo) in reverse order, the zero
+run over [-hi0, hi0], then the half runs.  Pick's ``count_runs`` on an
+arbitrary polygon keeps the full walk.
+
 K ∩ Z^d at scale 1 is listed once per body and cached as
 ``ConvexBody.lattice_points``; ``enumerate_points`` copies it for that
 lattice and scale, and ``count_points`` never lists.
@@ -182,13 +192,18 @@ class LatticeSubspace:
 # -- enumeration core -----------------------------------------------------------
 
 
-def _runs(rows, box):
+def _runs(rows, box, half=False):
     """Yield the integer solutions of rows inside box as last-axis runs.
 
     A run (prefix, lo, hi) stands for the points prefix + (x,) with
     lo <= x <= hi, and runs come in ascending lexicographic order.  The
     leading axes are walked depth first on an explicit stack, each row
-    bounding the next coordinate through its suffix minimum over the box.
+    bounding the next coordinate through its suffix minimum over the box;
+    the last axis is bounded in its parent's loop, so no leaf is pushed.
+
+    half=True is for origin-symmetric systems only: along the all-zero
+    prefix each axis's lo is clipped at 0, so only the runs whose points
+    are >=lex 0 come out, and the first is the zero run ((0, ..., 0), 0, hi0).
     """
     n = len(box)
     if n == 0:
@@ -202,27 +217,61 @@ def _runs(rows, box):
         minrems.append(minrem)
     coef = [tuple(a[t] for a, _ in rows) for t in range(n)]
     tail = [tuple(minrem[t + 1] for minrem in minrems) for t in range(n)]
+    last = coef[n - 1]
     stack = [(0, (), [b for _, b in rows])]
+    zero = half  # the node popped next has the all-zero prefix
     while stack:
         t, prefix, residuals = stack.pop()
         lo, hi = box[t]
+        if zero and lo < 0:
+            lo = 0
         for at, low, res in zip(coef[t], tail[t], residuals):
             rem = res - low
             if at > 0:
-                hi = min(hi, rem // at)
+                q = rem // at
+                if q < hi:
+                    hi = q
             elif at < 0:
-                lo = max(lo, -(-rem // at))
+                q = -(-rem // at)
+                if q > lo:
+                    lo = q
             elif rem < 0:
                 hi = lo - 1
                 break
+        # the zero prefix extends only through x = 0, which is pushed last
+        zero = zero and lo == 0 <= hi
         if lo > hi:
             continue
-        if t == n - 1:
+        if t == n - 1:  # the root of a 1-dimensional system
             yield prefix, lo, hi
             continue
         col = coef[t]
-        for x in range(hi, lo - 1, -1):  # pushed high to low, popped low first
-            stack.append((t + 1, prefix + (x,), [res - at * x for at, res in zip(col, residuals)]))
+        if t < n - 2:
+            for x in range(hi, lo - 1, -1):  # pushed high to low, popped low first
+                stack.append((t + 1, prefix + (x,), [res - at * x for at, res in zip(col, residuals)]))
+            continue
+        # the children are leaves: bound each one's last axis here, in order
+        blo, bhi = box[n - 1]
+        for x in range(lo, hi + 1):
+            l, h = blo, bhi
+            if zero and x == 0 and l < 0:
+                l = 0
+            for at, an, res in zip(col, last, residuals):
+                rem = res - at * x
+                if an > 0:
+                    q = rem // an
+                    if q < h:
+                        h = q
+                elif an < 0:
+                    q = -(-rem // an)
+                    if q > l:
+                        l = q
+                elif rem < 0:
+                    h = l - 1
+                    break
+            if l <= h:
+                yield prefix + (x,), l, h
+        zero = False
 
 
 def count_runs(rows, box) -> int:
@@ -272,9 +321,17 @@ def _system(body, lattice, scale):
 
 
 def _listing(body, lattice=None, scale=1):
-    """Uncached points of scale*body ∩ lattice in lattice coordinates, lex order."""
-    runs = _runs(*_system(body, lattice, scale))
-    return [prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1)]
+    """Uncached points of scale*body ∩ lattice in lattice coordinates, lex order.
+
+    Built from the half walk: the mirrored runs (-p, -hi, -lo) in reverse
+    order, the zero run over [-hi0, hi0], then the half runs.
+    """
+    runs = list(_runs(*_system(body, lattice, scale), half=True))
+    zero, _, hi0 = runs[0]
+    rest = runs[1:]
+    mirrored = [(tuple(-c for c in p), -hi, -lo) for p, lo, hi in reversed(rest)]
+    full = mirrored + [(zero, -hi0, hi0)] + rest
+    return [prefix + (x,) for prefix, lo, hi in full for x in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)
@@ -298,21 +355,25 @@ def enumerate_points(body, lattice=None, scale=Fraction(1)):
 def count_points(body, lattice=None, by_normal=None, scale=Fraction(1)) -> PointCount:
     """Cardinality of body ∩ lattice, optionally leveled by an integer form.
 
-    Runs are counted by length or walked one point at a time; the point
-    set is never listed.
+    Counted from the half walk and its mirror z -> -z: the total is twice
+    the half count less the origin, and each half point adds its level l
+    and its mirror's -l.  Runs are counted by length or walked one point
+    at a time; the point set is never listed.
     """
     lat = None if _standard(body, lattice) else lattice
-    rows, box = _system(body, lat, scale)
+    runs = _runs(*_system(body, lat, scale), half=True)
     if by_normal is None:
-        return PointCount(total=count_runs(rows, box))
+        return PointCount(total=2 * sum(hi - lo + 1 for _, lo, hi in runs) - 1)
     u = tuple(int(x) for x in by_normal)
     if lat is not None:
         u = tuple(dot(u, col) for col in lat.basis)  # u . (B y) = (B^T u) . y
     levels: dict[int, int] = {}
-    for prefix, lo, hi in _runs(rows, box):
+    for prefix, lo, hi in runs:
         for x in range(lo, hi + 1):
             lv = dot(u, prefix + (x,))
             levels[lv] = levels.get(lv, 0) + 1
+            levels[-lv] = levels.get(-lv, 0) + 1
+    levels[0] -= 1  # the origin is its own mirror
     return PointCount(total=sum(levels.values()), by_level=levels)
 
 

@@ -307,6 +307,8 @@ def verify_unconditional(body, dim_cap=None, seed=None) -> SlicingReport:
 def verify_main(body, m, strategy=None, dim_cap=None, seed=None) -> SlicingReport:
     """Polar-minima chain for the co-dimensional counting inequality."""
     d = body.dim
+    if d < 2:
+        raise LatsliceError(f"the main chain needs d >= 2, got d = {d}")
     if not 1 <= m <= d - 1:
         raise LatsliceError(f"m must be in [1, {d - 1}]")
     points = body.lattice_points
@@ -535,9 +537,14 @@ def gauss_scaling(body, radii, hyperplane=None, dim_cap=None) -> GaussScalingRep
 
 def random_symmetric_body(d, seed, points=None, spread=None) -> ConvexBody:
     """Hull of 2k random integer points united with their negation."""
-    rng = random.Random(seed)
     k = points if points is not None else d + 1
     sp = spread if spread is not None else (4 if d <= 3 else 3)
+    # no draw can span R^d otherwise, and the loop below would redraw forever
+    if d < 1:
+        raise DegenerateBodyError(f"dimension must be >= 1, got {d}")
+    if 2 * k < d or sp < 1:
+        raise DegenerateBodyError(f"{2 * k} points of spread {sp} cannot span R^{d}")
+    rng = random.Random(seed)
     while True:
         pts = [tuple(rng.randint(-sp, sp) for _ in range(d)) for _ in range(2 * k)]
         pts += [tuple(-x for x in p) for p in pts]
@@ -554,6 +561,8 @@ def random_unconditional_body(d, seed) -> ConvexBody:
     the diagonal-cut variant stays at d <= 3 where its 2^d extra facets
     still keep the dual hull behind the exact volume cheap.
     """
+    if d < 1:
+        raise DegenerateBodyError(f"dimension must be >= 1, got {d}")
     rng = random.Random(seed)
     shape = rng.choice(["box", "diamond", "intersection"] if d <= 3 else ["box", "diamond"])
     hi = {1: 8, 2: 8, 3: 5, 4: 3}.get(d, 2)

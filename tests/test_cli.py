@@ -1,8 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from latslice.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv, timeout=30):
+    """Run ``python -m latslice`` on the checkout's sources in a child process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "latslice", *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def run(capsys, *argv):
@@ -246,6 +260,46 @@ def test_gauss_empty_radii_exit1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_gauss_bad_radius_exit1(capsys):
+    for radii, token in (("1/0", "'1/0'"), ("1,x", "'x'")):
+        code, out, err = run(capsys, "gauss", "--body", "cube:2", "--radii", radii)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and token in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "main", "--body", "random:0"),
+        ("scan", "unconditional", "--body", "random:-2"),
+        ("scan", "unconditional", "--body", "random-unconditional:0"),
+    ],
+    ids=["main-d0", "unconditional-d-2", "uncond-generator-d0"],
+)
+def test_scan_dimension_below_one_exit1(argv):
+    # a generator that never stops redrawing would hang; the child process's timeout bounds it
+    proc = run_module(*argv, timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "dimension must be >= 1" in proc.stderr
+
+
+def test_main_chain_on_d1_body_exit1(capsys):
+    for argv in (("verify", "main", "--body", "cube:1"), ("scan", "main", "--body", "random:1", "--trials", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "needs d >= 2" in err
+
+
+def test_python_m_entry_point(capsys):
+    proc = run_module("count", "--body", "cube:3", "--format", "json")
+    code, out, _ = run(capsys, "count", "--body", "cube:3", "--format", "json")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,51 @@ def test_kernel_matches_recursive_oracle(case):
         assert leveled.by_level == Counter(dot(normal, z) for z in expected)
 
 
+# -- the symmetric half walk ------------------------------------------------------
+
+
+def _expand(runs):
+    return [prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1)]
+
+
+@st.composite
+def half_walk_cases(draw):
+    d = draw(st.integers(1, 4))
+    body = GENERATORS[draw(st.sampled_from(sorted(GENERATORS)))](d, draw(st.integers(0, 10**6)))
+    normal = tuple(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)))
+    lattice = None
+    if d >= 2 and draw(st.booleans()):
+        # from a rank-1 line in d = 2 up to a hyperplane of Z^4
+        lattice = sublattice(LatticeSubspace.from_normal(draw(
+            st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+        )))
+    # at 1 / (1 + floor(max radius)) the box is [0, 0]^d: only the origin fits
+    tiny = Fraction(1, 1 + int(max(body.bounding_box)))
+    scale = draw(st.sampled_from([Fraction(1), Fraction(5, 2), Fraction(4), tiny]))
+    return body, lattice, normal, scale
+
+
+@settings(max_examples=48, deadline=None)
+@given(half_walk_cases())
+def test_half_walk_matches_full_walk_and_oracle(case):
+    body, lat, normal, scale = case
+    rows, box = lattices._system(body, lat, scale)
+    full = _expand(lattices._runs(rows, box, half=False))
+    zero = (0,) * len(box)
+    # the half walk yields exactly the points >=lex 0, in order
+    assert _expand(lattices._runs(rows, box, half=True)) == [z for z in full if z >= zero]
+    assert lattices._listing(body, lat, scale) == full
+    expected = oracle.enumerate_points(body, lat, scale)
+    assert enumerate_points(body, lat, scale) == expected
+    assert count_points(body, lat, scale=scale).total == len(full) == len(expected)
+    assert oracle.count_points(body, lat, scale) == len(expected)
+    leveled = count_points(body, lat, by_normal=normal, scale=scale)
+    assert leveled.by_level == Counter(dot(normal, z) for z in expected)
+    assert leveled.total == len(expected)
+    if scale < 1:
+        assert expected == [(0,) * body.dim]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
 def test_pick_total_matches_oracle(seed):
@@ -124,9 +169,9 @@ def _count_body_listings(monkeypatch, body, chain):
     scans = []
     kernel = lattices._runs
 
-    def counted(rows, box):
+    def counted(rows, box, *args, **kwargs):
         scans.append(rows == body.int_rows)
-        return kernel(rows, box)
+        return kernel(rows, box, *args, **kwargs)
 
     monkeypatch.setattr(lattices, "_runs", counted)
     chain(body)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latslice import Lattice, box, cross, cube, from_vertices
-from latslice.errors import SymmetryError
+from latslice.errors import DegenerateBodyError, SymmetryError
 from latslice.verify import (
     PolygonError,
     covering_lemma_check,
@@ -175,6 +175,16 @@ def test_main_random_suite_small():
             rep = verify_main(body, m)
             assert not rep.hypothesis_violated
             assert rep.ok, (seed, d, m, rep.failures())
+
+
+@pytest.mark.parametrize(
+    "d, points, spread",
+    [(0, None, None), (-2, None, None), (3, 1, None), (4, 1, 3), (2, None, 0)],
+)
+def test_random_symmetric_body_rejects_unspannable_draws(d, points, spread):
+    # no draw of these can span R^d, so redrawing would never end
+    with pytest.raises(DegenerateBodyError):
+        random_symmetric_body(d, 0, points=points, spread=spread)
 
 
 # -- packing and covering ---------------------------------------------------------------
