@@ -306,6 +306,8 @@ def _cmd_scan(args):
         ) from exc
     if gen not in ("random", "random-unconditional", "random-rational"):
         raise LatsliceError(f"unknown scan generator {gen!r}")
+    if gen == "random-rational" and d != 2:
+        raise LatsliceError("the random-rational generator is 2-dimensional only: use random-rational:2")
     if args.kind == "dim2" and d != 2:
         raise LatsliceError("dim2 scan needs a 2-dimensional generator")
     if args.trials < 0:
@@ -388,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, body=True):
         if body:
             p.add_argument("--body", required=True, help="built-in (cube:d, cross:d, box:r1,...) or JSON file")
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=["text", "json", "csv"], default="text", help="csv: scan only")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = sub.add_parser("count", help="count lattice points in the body")
@@ -454,6 +456,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.format == "csv" and args.func is not _cmd_scan:
+            raise LatsliceError(f"--format csv is only offered by scan, not by {args.command}")
         return args.func(args)
     except LatsliceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,21 +1,30 @@
 """Lattices, lattice subspaces, and exact lattice-point enumeration.
 
-One kernel, ``_runs``, solves integer inequality rows inside an integer
-box by per-axis interval propagation: fixing coordinates left to right on
-an explicit stack, each row yields integer bounds for the next coordinate
-from exact suffix minima over the box, and the final coordinate's range is
-exact.  It yields last-axis runs (prefix, lo, hi) in ascending
-lexicographic order; counting sums the run lengths, listing expands them.
+One walk, ``_walk``, solves integer inequality rows inside an integer box
+by per-axis interval propagation: fixing the coordinates of all axes but
+the last two left to right on an explicit stack, each row yields integer
+bounds for the next coordinate from exact suffix minima over the box.  At
+each prefix it reaches, the last two axes are closed by one of two closers:
+
+- ``_runs`` lists: it loops over the penultimate axis and bounds the last
+  one at every point, yielding last-axis runs (prefix, lo, hi) in
+  ascending lexicographic order.  Listings, ``by_normal`` levels and
+  ``ConvexBody.lattice_points`` read it.
+- ``count_solutions`` counts: the last two axes form a 2-D section
+  {lo <= x <= hi, L(x) <= y <= U(x)}, whose point count is summed in closed
+  form, as floor sums over the pieces on which one row bounds each side.
+  ``count_points`` and Pick's polygon count read it.
 
 Every system built from a body is origin-symmetric: the body is symmetric
 by construction, the lattice passes through 0 and the box is symmetric.
-So the readers here walk only half of it (``_runs(..., half=True)``):
-the runs whose points are >=lex 0, the zero run ((0, ..., 0), 0, hi0)
-first.  The rest is the mirror z -> -z: a count doubles the half count
-less the origin, levels add each point's level and its negation, and a
-listing emits the mirrored runs (-p, -hi, -lo) in reverse order, the zero
-run over [-hi0, hi0], then the half runs.  Pick's ``count_runs`` on an
-arbitrary polygon keeps the full walk.
+So the readers here walk only half of it (``half=True``).  The listing
+takes the runs whose points are >=lex 0, the zero run ((0, ..., 0), 0, hi0)
+first; the rest is the mirror z -> -z: levels add each point's level and
+its negation, and a listing emits the mirrored runs (-p, -hi, -lo) in
+reverse order, the zero run over [-hi0, hi0], then the half runs.  The
+count takes the sections at the prefixes >=lex 0: twice those at nonzero
+prefixes plus the zero-prefix one, which is its own mirror.  Pick's count
+on an arbitrary polygon keeps the full walk.
 
 K ∩ Z^d at scale 1 is listed once per body and cached as
 ``ConvexBody.lattice_points``; ``enumerate_points`` copies it for that
@@ -192,22 +201,13 @@ class LatticeSubspace:
 # -- enumeration core -----------------------------------------------------------
 
 
-def _runs(rows, box, half=False):
-    """Yield the integer solutions of rows inside box as last-axis runs.
+def _tables(rows, box):
+    """Per-axis row coefficients and the rows' suffix minima over the box.
 
-    A run (prefix, lo, hi) stands for the points prefix + (x,) with
-    lo <= x <= hi, and runs come in ascending lexicographic order.  The
-    leading axes are walked depth first on an explicit stack, each row
-    bounding the next coordinate through its suffix minimum over the box;
-    the last axis is bounded in its parent's loop, so no leaf is pushed.
-
-    half=True is for origin-symmetric systems only: along the all-zero
-    prefix each axis's lo is clipped at 0, so only the runs whose points
-    are >=lex 0 come out, and the first is the zero run ((0, ..., 0), 0, hi0).
+    coef[t][i] is row i's coefficient on axis t, and tail[t][i] the least
+    value row i's terms on the axes after t take over the box.
     """
     n = len(box)
-    if n == 0:
-        return
     minrems = []
     for a, _ in rows:
         minrem = [0] * (n + 1)
@@ -217,41 +217,87 @@ def _runs(rows, box, half=False):
         minrems.append(minrem)
     coef = [tuple(a[t] for a, _ in rows) for t in range(n)]
     tail = [tuple(minrem[t + 1] for minrem in minrems) for t in range(n)]
-    last = coef[n - 1]
-    stack = [(0, (), [b for _, b in rows])]
+    return coef, tail
+
+
+def _bound(lo, hi, col, low, residuals):
+    """Integer range of one axis inside [lo, hi] that every row leaves open.
+
+    Row i allows x when col[i] * x + low[i] <= residuals[i]; an empty range
+    comes back with hi < lo.
+    """
+    for at, lw, res in zip(col, low, residuals):
+        rem = res - lw
+        if at > 0:
+            q = rem // at
+            if q < hi:
+                hi = q
+        elif at < 0:
+            q = -(-rem // at)
+            if q > lo:
+                lo = q
+        elif rem < 0:
+            return lo, lo - 1
+    return lo, hi
+
+
+def _walk(box, coef, tail, residuals, half):
+    """Depth first over the prefixes on all axes but the last two.
+
+    Yields (prefix, residuals, zero) in ascending lexicographic order of the
+    prefixes, the residuals being each row's right side less its prefix
+    terms; with fewer than three axes the root, with prefix (), is the only
+    node.  half=True is for origin-symmetric systems only: along the all-zero
+    prefix each axis's lo is clipped at 0, so only the prefixes >=lex 0 come
+    out, and zero is True for the all-zero one.
+    """
+    depth = len(box) - 2
+    stack = [((), residuals)]
     zero = half  # the node popped next has the all-zero prefix
     while stack:
-        t, prefix, residuals = stack.pop()
+        prefix, residuals = stack.pop()
+        t = len(prefix)
+        if t >= depth:
+            yield prefix, residuals, zero
+            zero = False
+            continue
         lo, hi = box[t]
-        if zero and lo < 0:
-            lo = 0
-        for at, low, res in zip(coef[t], tail[t], residuals):
-            rem = res - low
-            if at > 0:
-                q = rem // at
-                if q < hi:
-                    hi = q
-            elif at < 0:
-                q = -(-rem // at)
-                if q > lo:
-                    lo = q
-            elif rem < 0:
-                hi = lo - 1
-                break
+        lo, hi = _bound(0 if zero and lo < 0 else lo, hi, coef[t], tail[t], residuals)
         # the zero prefix extends only through x = 0, which is pushed last
         zero = zero and lo == 0 <= hi
-        if lo > hi:
-            continue
-        if t == n - 1:  # the root of a 1-dimensional system
-            yield prefix, lo, hi
-            continue
         col = coef[t]
-        if t < n - 2:
-            for x in range(hi, lo - 1, -1):  # pushed high to low, popped low first
-                stack.append((t + 1, prefix + (x,), [res - at * x for at, res in zip(col, residuals)]))
-            continue
-        # the children are leaves: bound each one's last axis here, in order
-        blo, bhi = box[n - 1]
+        for x in range(hi, lo - 1, -1):  # pushed high to low, popped low first
+            stack.append((prefix + (x,), [res - at * x for at, res in zip(col, residuals)]))
+
+
+def _runs(rows, box, half=False):
+    """Yield the integer solutions of rows inside box as last-axis runs.
+
+    A run (prefix, lo, hi) stands for the points prefix + (x,) with
+    lo <= x <= hi, and runs come in ascending lexicographic order.  This is
+    the listing closer of ``_walk``: each walked prefix's penultimate axis is
+    looped over, bounding the last axis at every point, so no leaf is pushed.
+
+    half=True is for origin-symmetric systems only: along the all-zero
+    prefix each axis's lo is clipped at 0, so only the runs whose points
+    are >=lex 0 come out, and the first is the zero run ((0, ..., 0), 0, hi0).
+    """
+    n = len(box)
+    if n == 0:
+        return
+    coef, tail = _tables(rows, box)
+    residuals = [b for _, b in rows]
+    if n == 1:
+        lo, hi = box[0]
+        lo, hi = _bound(0 if half and lo < 0 else lo, hi, coef[0], tail[0], residuals)
+        if lo <= hi:
+            yield (), lo, hi
+        return
+    col, low, last = coef[n - 2], tail[n - 2], coef[n - 1]
+    blo, bhi = box[n - 1]
+    for prefix, residuals, zero in _walk(box, coef, tail, residuals, half):
+        lo, hi = box[n - 2]
+        lo, hi = _bound(0 if zero and lo < 0 else lo, hi, col, low, residuals)
         for x in range(lo, hi + 1):
             l, h = blo, bhi
             if zero and x == 0 and l < 0:
@@ -271,12 +317,140 @@ def _runs(rows, box, half=False):
                     break
             if l <= h:
                 yield prefix + (x,), l, h
-        zero = False
 
 
-def count_runs(rows, box) -> int:
-    """Number of integer solutions of rows inside box, with no point listed."""
-    return sum(hi - lo + 1 for _, lo, hi in _runs(rows, box))
+def _floor_sum(n, m, a, b):
+    """Sum of floor((a*i + b) / m) over 0 <= i < n, for m > 0 and any a, b.
+
+    Euclid-style: a and b are reduced mod m (their quotients summed in
+    closed form), then the sum is read with the roles of a and m swapped,
+    so the loop runs O(log m) times.
+    """
+    total = 0
+    while True:
+        if not 0 <= a < m:
+            q, a = divmod(a, m)
+            total += q * (n * (n - 1) // 2)
+        if not 0 <= b < m:
+            q, b = divmod(b, m)
+            total += q * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _envelope(lines, lo, hi):
+    """Integer pieces of the lower envelope of lines (a, m, r) on [lo, hi].
+
+    A line stands for x -> (r - a*x) / m with m > 0, and lines come sorted by
+    a/m ascending, so each one can only overtake the ones before it, to the
+    right.  Returns [(end, line)]: line is least on (previous end, end], and
+    the last end is hi.  Of two parallel lines the lower is kept, and at an
+    integer crossing the left line keeps the point.
+    """
+    hull = []
+    for line in lines:
+        a, m, r = line
+        if hull:
+            a1, m1, r1 = hull[-1]
+            if a * m1 == a1 * m:
+                if r * m1 >= r1 * m:
+                    continue
+                hull.pop()
+        while len(hull) >= 2:
+            (a0, m0, r0), (a1, m1, r1) = hull[-2], hull[-1]
+            # hull[-1] is never least once the new line overtakes hull[-2] no later
+            if (m0 * r - m * r0) * (m0 * a1 - m1 * a0) <= (m0 * r1 - m1 * r0) * (m0 * a - m * a0):
+                hull.pop()
+            else:
+                break
+        hull.append(line)
+    pieces = []
+    start = lo
+    a0, m0, r0 = line = hull[0]
+    for nxt in hull[1:]:
+        a1, m1, r1 = nxt
+        end = (m0 * r1 - m1 * r0) // (m0 * a1 - m1 * a0)  # last x where line <= nxt
+        if end >= hi:
+            break
+        if end >= start:
+            pieces.append((end, line))
+            start = end + 1
+        a0, m0, r0 = line = nxt
+    pieces.append((hi, line))
+    return pieces
+
+
+def _section(ups, lows, lo, hi):
+    """Integer points of {lo <= x <= hi, L(x) <= y <= U(x)}, in closed form.
+
+    U(x) = min over ups of (r - a*x) / m and -L(x) = min over lows of the
+    same, so a column holds floor(U) + floor(-L) + 1 points where U >= L.
+    On each piece with one line of each side least, U - L is linear: the
+    piece is clipped to U >= L and its columns are two floor sums.
+    """
+    total = 0
+    upper, lower = _envelope(ups, lo, hi), _envelope(lows, lo, hi)
+    i = j = 0
+    x = lo
+    while x <= hi:
+        ue, (au, mu, ru) = upper[i]
+        le, (al, ml, rl) = lower[j]
+        end = ue if ue < le else le
+        if ue == end:
+            i += 1
+        if le == end:
+            j += 1
+        start, x = x, end + 1
+        # U >= L  <=>  ml*(ru - au*x) + mu*(rl - al*x) >= 0  <=>  A x <= B
+        A, B = ml * au + mu * al, ml * ru + mu * rl
+        if A > 0:
+            end = min(end, B // A)
+        elif A < 0:
+            start = max(start, -(B // -A))
+        elif B < 0:
+            continue
+        if start <= end:
+            k = end - start + 1
+            total += k + _floor_sum(k, mu, -au, ru - au * start) + _floor_sum(k, ml, -al, rl - al * start)
+    return total
+
+
+def count_solutions(rows, box, half=False) -> int:
+    """Number of integer solutions of rows inside box, with no point listed.
+
+    The section closer of ``_walk``: at each walked prefix the last two
+    axes form a 2-D section, counted by ``_section``.  Rows free of the last
+    axis bound only the penultimate one and are applied there; the last
+    axis's box bounds join the rows of each side.  half=True is for
+    origin-symmetric systems only: the section at a prefix -p mirrors the one
+    at p, so the count is twice the sections at prefixes >lex 0 plus the
+    zero-prefix section, which is symmetric itself.
+    """
+    n = len(box)
+    if n == 0:
+        return 0
+    if n == 1:  # a zero-width leading axis makes the root a section
+        rows, box, n = [((0, *a), b) for a, b in rows], [(0, 0), *box], 2
+    coef, tail = _tables(rows, box)
+    col, low, last = coef[n - 2], tail[n - 2], coef[n - 1]
+    blo, bhi = box[n - 1]
+    k = len(rows)
+    ups = [(col[i], last[i], i) for i in range(k) if last[i] > 0] + [(0, 1, k)]
+    lows = [(col[i], -last[i], i) for i in range(k) if last[i] < 0] + [(0, 1, k + 1)]
+    for side in ups, lows:
+        side.sort(key=lambda line: Fraction(line[0], line[1]))  # by a/m, as _envelope takes them
+    total = 0
+    for _, residuals, zero in _walk(box, coef, tail, [b for _, b in rows], half):
+        lo, hi = _bound(*box[n - 2], col, low, residuals)
+        if lo > hi:
+            continue
+        res = residuals + [bhi, -blo]
+        count = _section([(a, m, res[i]) for a, m, i in ups], [(a, m, res[i]) for a, m, i in lows], lo, hi)
+        total += count if zero or not half else 2 * count
+    return total
 
 
 def _int_box(radii):
@@ -355,15 +529,15 @@ def enumerate_points(body, lattice=None, scale=Fraction(1)):
 def count_points(body, lattice=None, by_normal=None, scale=Fraction(1)) -> PointCount:
     """Cardinality of body ∩ lattice, optionally leveled by an integer form.
 
-    Counted from the half walk and its mirror z -> -z: the total is twice
-    the half count less the origin, and each half point adds its level l
-    and its mirror's -l.  Runs are counted by length or walked one point
-    at a time; the point set is never listed.
+    The total sums the 2-D sections of the half walk in closed form; a
+    leveled count walks the half runs one point at a time, each half point
+    adding its level l and its mirror's -l.  The point set is never listed.
     """
     lat = None if _standard(body, lattice) else lattice
-    runs = _runs(*_system(body, lat, scale), half=True)
+    rows, box = _system(body, lat, scale)
     if by_normal is None:
-        return PointCount(total=2 * sum(hi - lo + 1 for _, lo, hi in runs) - 1)
+        return PointCount(total=count_solutions(rows, box, half=True))
+    runs = _runs(rows, box, half=True)
     u = tuple(int(x) for x in by_normal)
     if lat is not None:
         u = tuple(dot(u, col) for col in lat.basis)  # u . (B y) = (B^T u) . y

@@ -21,7 +21,7 @@ from .hull import graham_hull, hull_facets
 from .lattices import (
     LatticeSubspace,
     count_points,
-    count_runs,
+    count_solutions,
     dim_of_lattice_span,
     enumerate_points,
     project_count,
@@ -99,7 +99,7 @@ def pick_quantities(polygon) -> PickQuantities:
     xs = [p[0] for p in hull_pts]
     ys = [p[1] for p in hull_pts]
     rows = [(f.normal, f.offset) for f in hull_facets(hull_pts, 2)]
-    total = count_runs(rows, [(min(xs), max(xs)), (min(ys), max(ys))])
+    total = count_solutions(rows, [(min(xs), max(xs)), (min(ys), max(ys))])
     interior = total - bcount
     holds = area == interior + Fraction(bcount, 2) - 1
     return PickQuantities(A=area, I=interior, B=bcount, identity_holds=holds)
@@ -475,9 +475,10 @@ class GaussScalingReport:
 def gauss_scaling(body, radii, hyperplane=None, dim_cap=None) -> GaussScalingReport:
     """Exact counts of rK against r^d vol(K), plus an optional slice analogue.
 
-    The slice expectation uses the lattice-normalized section volume
-    (section volume over det(Z^d ∩ H)), in which the irrational cell
-    factors cancel, so the deviations stay exact rationals.
+    The slice expectation is r^m times the lattice-normalized section
+    volume (section volume over det(Z^d ∩ H)) for a subspace H of rank m, in
+    which the irrational cell factors cancel, so the deviations stay exact
+    rationals.
     """
     d = body.dim
     vol = Fraction(volume(body, dim_cap=dim_cap).value)
@@ -510,7 +511,7 @@ def gauss_scaling(body, radii, hyperplane=None, dim_cap=None) -> GaussScalingRep
         s_counts, s_expect, s_abs = [], [], []
         for r in rs:
             c = count_points(body, lat, scale=r).total
-            e = r ** (d - 1) * sec_vol
+            e = r**lat.rank * sec_vol
             s_counts.append(c)
             s_expect.append(e)
             s_abs.append(abs(Fraction(c) - e))

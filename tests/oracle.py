@@ -6,7 +6,11 @@ were in the library, so the kernel in ``latslice.lattices`` can be compared
 with them point for point; ``_polygon_rows`` builds the polygon's edge rows
 for that total as ``verify`` did before it read them from the 2D hull.
 ``enumerate_points`` and ``count_points`` here are the old public entry
-points without the ``by_normal`` option.
+points without the ``by_normal`` option.  ``run_count_points`` and
+``count_runs`` are the run-summing counts that ``latslice.lattices`` used
+before it closed each 2-D section in closed form: they sum the last-axis run
+lengths of ``lattices._runs`` (``2·Σ(hi − lo + 1) − 1`` over the symmetric
+half walk, the plain sum over the full walk).
 
 Volumes: ``hull_volume`` (the fan that re-hulls every facet projection),
 ``hull_vertex_indices``, ``rational_hull_volume`` and ``polar_volume`` (the
@@ -35,7 +39,7 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd
 
-from latslice import hull, lp
+from latslice import hull, lattices, lp
 from latslice.errors import SubspaceError, UnboundedBodyError
 from latslice.lattices import LatticeSubspace
 from latslice.linalg import (
@@ -282,6 +286,18 @@ def count_points(body, lattice=None, scale=Fraction(1)) -> int:
     if lattice is None or _is_standard(lattice):
         return _count_scan(*_body_system(body, scale))
     return _count_scan(*_lattice_system(body, lattice, scale))
+
+
+def run_count_points(body, lattice=None, scale=Fraction(1)) -> int:
+    """Cardinality of scale*body ∩ lattice from the half walk's run lengths."""
+    lat = None if lattices._standard(body, lattice) else lattice
+    runs = lattices._runs(*lattices._system(body, lat, scale), half=True)
+    return 2 * sum(hi - lo + 1 for _, lo, hi in runs) - 1
+
+
+def count_runs(rows, box) -> int:
+    """Number of integer solutions of rows inside box, with no point listed."""
+    return sum(hi - lo + 1 for _, lo, hi in lattices._runs(rows, box))
 
 
 def _polygon_rows(hull_pts):

@@ -332,3 +332,66 @@ def test_env_cap_not_an_integer_exit1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "LATSLICE_EXACT_DIM_CAP" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--body", "cross:2"),
+        ("volume", "--body", "cross:2"),
+        ("minima", "--body", "cross:2"),
+        ("slice", "--body", "cube:3", "--normal", "1,1,1"),
+        ("brunn", "--body", "cross:3", "--normal", "1,1,1"),
+        ("pick", "--body", "cube:2"),
+        ("verify", "dim2", "--body", "cube:2"),
+        ("gauss", "--body", "cube:2", "--radii", "1,2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_format_outside_scan_exit1(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "csv" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["main", "unconditional", "dim2"])
+@pytest.mark.parametrize("d", ["1", "3"])
+def test_scan_random_rational_needs_d2_exit1(capsys, kind, d):
+    code, out, err = run(capsys, "scan", kind, "--body", f"random-rational:{d}", "--trials", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "random-rational:2" in err
+
+
+def test_gauss_slice_below_a_hyperplane_scales_with_its_rank(capsys):
+    # a line through cube(3): counts 2r + 1 against r^1 * 2, not r^2 * 2
+    code, out, _ = run(capsys, "gauss", "--body", "cube:3", "--normal", "1,0,0;", "--radii", "2,4,5/2", "--format", "json")
+    assert code == 0
+    data = json.loads(out)["slice"]
+    assert data["counts"] == [5, 9, 5]
+    assert data["expected"] == ["4", "8", "5"]
+    assert data["abs_dev"] == ["1", "1", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, slice_data",
+    [
+        (
+            ("--body", "cross:3", "--normal", "1,1,1", "--radii", "1,2,5/2"),
+            {"normal": [1, 1, 1], "counts": [1, 7, 7], "expected": ["3/4", "3", "75/16"],
+             "abs_dev": ["1/4", "4", "37/16"]},
+        ),
+        (
+            ("--body", "box:3,1/2,2", "--normal", "1,0,0;0,1,0", "--radii", "1,3"),
+            {"normal": [0, 0, 1], "counts": [7, 57], "expected": ["6", "54"], "abs_dev": ["1", "3"]},
+        ),
+    ],
+    ids=["normal", "basis"],
+)
+def test_gauss_hyperplane_slice_report_unchanged(capsys, argv, slice_data):
+    code, out, _ = run(capsys, "gauss", *argv, "--format", "json")
+    assert code == 0
+    data = json.loads(out)["slice"]
+    data.pop("note")
+    assert data == slice_data

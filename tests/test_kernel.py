@@ -1,8 +1,10 @@
 """The run-yielding enumeration kernel: oracle parity, result lifetime, point cache."""
 
 import gc
+import itertools
 from collections import Counter
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,86 @@ def test_half_walk_matches_full_walk_and_oracle(case):
     assert leveled.total == len(expected)
     if scale < 1:
         assert expected == [(0,) * body.dim]
+
+
+# -- closed-form section counting -------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 60), st.integers(-200, 200), st.integers(-2000, 2000))
+def test_floor_sum_matches_brute_force(n, m, a, b):
+    assert lattices._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [Fraction(1, 3), 1, 2, Fraction(7, 2), 10, Fraction(99, 4), 137, 500])
+def test_cube_dilate_count_closed_form(d, r):
+    f = floor(r)
+    assert count_points(cube(d), scale=r).total == (2 * f + 1) ** d
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 17, 100, 500])
+def test_cross3_dilate_count_closed_form(r):
+    assert count_points(cross(3), scale=r).total == (2 * r + 1) * (2 * r * r + 2 * r + 3) // 3
+    # d = 2, where the root is the section
+    assert count_points(cross(2), scale=r).total == 2 * r * r + 2 * r + 1
+
+
+@pytest.mark.parametrize("r", [1, 2, Fraction(5, 2), 9, 40, 300])
+def test_cube3_diagonal_plane_count_closed_form(r):
+    # a rank-2 lattice, so the root is the section: a hexagon of 3f^2 + 3f + 1 points
+    f = floor(r)
+    lat = sublattice(LatticeSubspace.from_normal((1, 1, 1)))
+    assert count_points(cube(3), lat, scale=r).total == 3 * f * f + 3 * f + 1
+
+
+@pytest.mark.parametrize("make", [lambda: cube(1), lambda: cube(3), lambda: cross(4),
+                                  lambda: random_symmetric_body(3, 7), lambda: random_unconditional_body(4, 1)])
+def test_only_the_origin_fits(make):
+    body = make()
+    tiny = Fraction(1, 1 + int(max(body.bounding_box)))
+    assert count_points(body, scale=tiny).total == 1
+    assert lattices.count_solutions(*lattices._system(body, None, tiny)) == 1
+
+
+@st.composite
+def systems(draw):
+    """Arbitrary row systems in 1 to 3 axes: unbounded, empty and zero-coefficient rows included."""
+    n = draw(st.integers(1, 3))
+    coeff = st.integers(-4, 4)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        a = draw(st.lists(coeff, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            a[-1] = 0  # a row free of the last axis bounds the penultimate one alone
+        rows.append((tuple(a), draw(st.integers(-12, 24))))
+    box = []
+    for _ in range(n):
+        lo = draw(st.integers(-7, 3))
+        box.append((lo, draw(st.integers(lo - 1, lo + 10))))  # lo - 1: an empty axis
+    return rows, box
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems())
+def test_section_count_matches_runs_on_any_system(system):
+    rows, box = system
+    points = _expand(lattices._runs(rows, box))
+    assert lattices.count_solutions(rows, box) == oracle.count_runs(rows, box) == len(points)
+    assert len(points) == sum(
+        all(dot(a, z) <= b for a, b in rows) for z in itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_walk_cases())
+def test_section_count_matches_run_oracle(case):
+    body, lat, _, scale = case
+    rows, box = lattices._system(body, lat, scale)
+    n = len(enumerate_points(body, lat, scale))
+    assert count_points(body, lat, scale=scale).total == oracle.run_count_points(body, lat, scale) == n
+    # the symmetric count and the full walk agree
+    assert lattices.count_solutions(rows, box, half=True) == lattices.count_solutions(rows, box) == n
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latslice import Lattice, box, cross, cube, from_vertices
+from latslice import Lattice, LatticeSubspace, box, cross, cube, from_vertices
 from latslice.errors import DegenerateBodyError, SymmetryError
 from latslice.verify import (
     PolygonError,
@@ -263,6 +263,18 @@ def test_gauss_hyperplane_analogue():
     rep2 = gauss_scaling(cube(2), [2, 4], hyperplane=(1, 1))
     # section along the diagonal of the square has lattice-normalized volume 2
     assert rep2.slice_counts == (5, 9)
+
+
+def test_gauss_slice_expectation_uses_the_subspace_rank():
+    # a coordinate line of cube(3): lattice-normalized length 2, so expected 2r
+    line = LatticeSubspace.from_basis([(1, 0, 0)])
+    rep = gauss_scaling(cube(3), [2, 4, Fraction(7, 2)], hyperplane=line)
+    assert rep.slice_counts == (5, 9, 7)
+    assert rep.slice_expected == (4, 8, 7)
+    # a hyperplane keeps r^(d-1)
+    plane = gauss_scaling(cube(3), [2, 4], hyperplane=(0, 0, 1))
+    assert plane.slice_counts == (25, 81)
+    assert plane.slice_expected == (16, 64)
 
 
 # -- report serialization ----------------------------------------------------------------
