@@ -165,6 +165,8 @@ class LatticeSubspace:
         d = len(vecs[0])
         if any(len(v) != d for v in vecs):
             raise SubspaceError("mixed vector lengths")
+        if d < 2:
+            raise SubspaceError(f"a lattice subspace needs d >= 2, got d = {d}")
         if int_rank(vecs) != len(vecs):
             raise SubspaceError("basis vectors are dependent")
         m = len(vecs)

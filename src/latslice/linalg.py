@@ -44,22 +44,17 @@ def is_zero(u) -> bool:
 
 def content(u: IntVec) -> int:
     """gcd of the entries, 0 for the zero vector."""
-    g = 0
-    for a in u:
-        g = gcd(g, abs(a))
-    return g
+    return gcd(*u)
 
 
 def primitive(u: IntVec) -> IntVec:
     """Divide out the content; sign-normalize so the first nonzero entry is positive."""
-    g = content(u)
+    g = gcd(*u)
     if g == 0:
         return tuple(u)
-    v = tuple(a // g for a in u)
-    for a in v:
-        if a != 0:
-            return v if a > 0 else vec_neg(v)
-    return v
+    if next(filter(None, u)) < 0:
+        g = -g
+    return tuple([a // g for a in u])
 
 
 def frac_vec(u) -> FracVec:

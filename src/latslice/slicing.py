@@ -6,7 +6,9 @@ label (slice_profile); tests hold the two routes equal.
 
 The max-slice search keys every m-subset of a vector family by its
 primitive Plücker vector (its m×m minors), so subsets with the same span
-share one key and a zero key marks a dependent subset.  K ∩ Z^d is read
+share one key.  The minors come from prefix minors: a walk over prefixes
+in index order takes one Laplace step per added vector, and a dependent
+prefix (all minors zero) is pruned with all its extensions.  K ∩ Z^d is read
 once into point counts per primitive direction; a span's count is the
 zero point plus the counts of the directions it contains, and the
 Hermite-form subspace is built only for the spans tied at the maximum.
@@ -26,10 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .errors import SubspaceError
 from .lattices import LatticeSubspace, PointCount, count_points, sublattice
-from .linalg import det_int, dot, is_zero, primitive
+from .linalg import dot, is_zero, primitive
 
 __all__ = [
     "CandidateStrategy",
@@ -180,6 +183,7 @@ def _polar_basis(body):
     return successive_minima(body.polar()).directional_basis
 
 
+@lru_cache(maxsize=None)
 def _expansion(d, m):
     """Laplace terms (column, sign, minor index) of each (m+1)-minor along an added row."""
     index = {cols: i for i, cols in enumerate(itertools.combinations(range(d), m))}
@@ -187,11 +191,6 @@ def _expansion(d, m):
         tuple((j, (-1) ** k, index[cols[:k] + cols[k + 1 :]]) for k, j in enumerate(cols))
         for cols in itertools.combinations(range(d), m + 1)
     )
-
-
-def _span_key(vectors, columns):
-    """Primitive Plücker vector (the m×m minors) of m vectors; zero when dependent."""
-    return primitive(tuple(det_int([[v[j] for j in cols] for v in vectors]) for cols in columns))
 
 
 def _in_span(key, v, terms) -> bool:
@@ -202,20 +201,41 @@ def _in_span(key, v, terms) -> bool:
 def _spans(vectors, d, m, limit):
     """{key: (first m-subset, union of its m-subsets)} over rank-m m-subsets.
 
+    A depth-m walk over prefixes in index order: a prefix's k-minors give
+    the linear forms of the (k+1)-minors of each added vector (one Laplace
+    step), and a prefix whose minors all vanish is pruned.  Keys and
+    insertion order are those of the m-subsets in combinations order.
     None when there are more than limit subsets.
     """
-    if comb(len(vectors), m) > limit:
+    n = len(vectors)
+    if comb(n, m) > limit:
         return None
-    columns = tuple(itertools.combinations(range(d), m))
     spans: dict[tuple, tuple] = {}
-    for combo in itertools.combinations(vectors, m):
-        key = _span_key(combo, columns)
-        if is_zero(key):
-            continue
-        if key in spans:
-            spans[key][1].update(combo)
-        else:
-            spans[key] = (combo, set(combo))
+
+    def extend(start, prefix, minors):
+        k = len(prefix)
+        forms = []
+        for t in _expansion(d, k):
+            w = [0] * d
+            for j, s, q in t:
+                w[j] = s * minors[q]
+            forms.append(w)
+        for i in range(start, n - m + k + 1):
+            v = vectors[i]
+            mu = [sum(map(mul, w, v)) for w in forms]
+            if not any(mu):
+                continue
+            combo = prefix + (v,)
+            if k + 1 < m:
+                extend(i + 1, combo, mu)
+                continue
+            key = primitive(mu)
+            if key in spans:
+                spans[key][1].update(combo)
+            else:
+                spans[key] = (combo, set(combo))
+
+    extend(0, (), (1,))
     return spans
 
 
@@ -234,6 +254,8 @@ def max_slice(body, m, strategy=None) -> MaxSliceResult:
     smallest basis.
     """
     d = body.dim
+    if d < 2:
+        raise SubspaceError(f"max slice needs d >= 2, got d = {d}")
     if not 1 <= m <= d - 1:
         raise SubspaceError(f"slice dimension must be in [1, {d - 1}]")
     strategy = strategy or CandidateStrategy()

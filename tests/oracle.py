@@ -23,12 +23,17 @@ H-rep body its volume before the body read it from its dual's hull.
 Max slice: ``max_slice`` builds one ``LatticeSubspace`` per m-subset
 (``_subspaces_from_vectors``) and rescans every point of K for every
 candidate (``_count_in_subspace``), as the library did before it keyed spans
-by their Plücker vectors.
+by their Plücker vectors.  ``_spans`` (with ``_span_key``) keys every
+m-subset by the primitive vector of its m×m minors, each a ``det_int``, as
+``latslice.slicing._spans`` did before it walked prefixes and added one
+Laplace step per vector.
 
 Linear algebra: ``int_rank`` (Fraction elimination) and ``det_int``
 (Bareiss at every size) are kept as they were, so the fraction-free rank
 and the closed-form small minors in ``latslice.linalg`` can be compared with
 them; the old hull and max-slice code here uses this ``int_rank``.
+``content`` and ``primitive`` are the gcd loop that ``latslice.linalg``
+ran before it called ``math.gcd`` on all entries at once.
 ``polar_box`` is the polar's bounding box as ``from_hrep`` finds it, one
 support LP per axis, against which ``ConvexBody.polar``'s facet box is checked.
 """
@@ -43,13 +48,12 @@ from latslice import hull, lattices, lp
 from latslice.errors import SubspaceError, UnboundedBodyError
 from latslice.lattices import LatticeSubspace
 from latslice.linalg import (
-    content,
     dot,
     frac_vec,
     identity,
     is_zero,
-    primitive,
     scale_to_int,
+    vec_neg,
     vec_sub,
 )
 from latslice.slicing import (
@@ -88,6 +92,26 @@ def int_rank(rows) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def content(u) -> int:
+    """gcd of the entries, 0 for the zero vector."""
+    g = 0
+    for a in u:
+        g = gcd(g, abs(a))
+    return g
+
+
+def primitive(u):
+    """Divide out the content; sign-normalize so the first nonzero entry is positive."""
+    g = content(u)
+    if g == 0:
+        return tuple(u)
+    v = tuple(a // g for a in u)
+    for a in v:
+        if a != 0:
+            return v if a > 0 else vec_neg(v)
+    return v
 
 
 def det_int(rows) -> int:
@@ -512,6 +536,31 @@ def _subspaces_from_vectors(vectors, m, limit):
         sub = LatticeSubspace.from_basis(combo)
         seen.setdefault(sub.basis, sub)
     return list(seen.values())
+
+
+def _span_key(vectors, columns):
+    """Primitive Plücker vector (the m×m minors) of m vectors; zero when dependent."""
+    return primitive(tuple(det_int([[v[j] for j in cols] for v in vectors]) for cols in columns))
+
+
+def _spans(vectors, d, m, limit):
+    """{key: (first m-subset, union of its m-subsets)} over rank-m m-subsets.
+
+    None when there are more than limit subsets.
+    """
+    if comb(len(vectors), m) > limit:
+        return None
+    columns = tuple(itertools.combinations(range(d), m))
+    spans: dict[tuple, tuple] = {}
+    for combo in itertools.combinations(vectors, m):
+        key = _span_key(combo, columns)
+        if is_zero(key):
+            continue
+        if key in spans:
+            spans[key][1].update(combo)
+        else:
+            spans[key] = (combo, set(combo))
+    return spans
 
 
 def max_slice(body, m, strategy=None) -> MaxSliceResult:

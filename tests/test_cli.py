@@ -295,6 +295,15 @@ def test_main_chain_on_d1_body_exit1(capsys):
         assert err.startswith("error:") and "needs d >= 2" in err
 
 
+def test_slice_on_d1_body_exit1(capsys):
+    # the max-slice search and a basis given by --normal
+    for argv in (("slice", "--body", "cube:1", "--m", "1"), ("slice", "--body", "cube:1", "--normal", "1;")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "needs d >= 2, got d = 1" in err
+
+
 def test_python_m_entry_point(capsys):
     proc = run_module("count", "--body", "cube:3", "--format", "json")
     code, out, _ = run(capsys, "count", "--body", "cube:3", "--format", "json")

@@ -192,6 +192,30 @@ def test_primitive_and_content():
     assert linalg.primitive((0, -5)) == (0, 1)
 
 
+big_int = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.just(()),
+        st.lists(st.just(0), min_size=1, max_size=5),
+        st.lists(small_int, min_size=1, max_size=1),
+        st.lists(small_int, max_size=6),
+        st.lists(big_int, max_size=6),
+        st.lists(st.sampled_from([0, 2**64, -(2**64) - 2, 3 * 2**65]), max_size=5),
+    ).map(tuple)
+)
+@example(())
+@example((0, 0, 0))
+@example((-(2**65),))
+@example((0, -3 * 2**64, 6 * 2**64))
+def test_content_and_primitive_match_gcd_loop(u):
+    assert linalg.content(u) == oracle.content(u)
+    p = linalg.primitive(u)
+    assert p == oracle.primitive(u) and type(p) is tuple
+
+
 def test_scale_to_int():
     vecs = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1), Fraction(0))]
     scaled, L = linalg.scale_to_int(vecs)

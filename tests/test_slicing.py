@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from latslice import (
     from_vertices,
 )
 import oracle
+from latslice import slicing
 from latslice.slicing import (
     CandidateStrategy,
     brunn_check,
@@ -174,6 +176,50 @@ def test_max_slice_matches_per_subset_oracle(kind, d, seed, data):
         body = random_symmetric_body(d, seed)
     m = data.draw(st.integers(1, body.dim - 1))
     _matches_oracle(body, m)
+
+
+@st.composite
+def vector_families(draw):
+    """(vectors, d, m): small vectors with parallel, repeated and dependent members."""
+    d = draw(st.integers(2, 5))
+    m = draw(st.integers(1, d - 1))
+    coord = st.integers(-3, 3)
+    base = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=m + 1))
+    vectors = []
+    for _ in range(draw(st.integers(0, 9))):
+        how = draw(st.sampled_from(["free", "parallel", "repeat", "dependent"]))
+        if how == "free" or not vectors and how != "dependent":
+            v = draw(st.tuples(*[coord] * d))
+        elif how == "dependent":
+            c = draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)))
+            v = tuple(sum(a * b[i] for a, b in zip(c, base)) for i in range(d))
+        else:
+            v = draw(st.sampled_from(vectors))
+            if how == "parallel":
+                v = tuple(draw(st.sampled_from([-2, -1, 2, 3])) * a for a in v)
+        vectors.append(v)
+    return tuple(vectors), d, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_families(), st.integers(0, 200))
+def test_spans_match_per_subset_oracle(family, limit):
+    vectors, d, m = family
+    got = slicing._spans(vectors, d, m, limit)
+    want = oracle._spans(vectors, d, m, limit)
+    assert (got is None) == (limit < comb(len(vectors), m))
+    # dict equality ignores order; the first subsets and the key order must match too
+    assert got == want
+    if got is not None:
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("d, m, seeds", [(3, 1, range(6)), (3, 2, range(6)), (4, 2, range(2)), (4, 3, range(2))])
+def test_max_slice_unchanged_by_prefix_minors(monkeypatch, d, m, seeds):
+    bodies = [random_symmetric_body(d, seed) for seed in seeds]
+    got = [max_slice(b, m) for b in bodies]
+    monkeypatch.setattr(slicing, "_spans", oracle._spans)
+    assert got == [max_slice(b, m) for b in bodies]
 
 
 def test_max_slice_ties_match_oracle():
