@@ -53,7 +53,6 @@ from .minima import (
 )
 from .slicing import (
     BrunnReport,
-    CandidateStrategy,
     MaxSliceResult,
     SliceProfile,
     brunn_check,

@@ -35,6 +35,7 @@ from .linalg import (
     content,
     dot,
     frac_vec,
+    identity,
     int_rank,
     is_zero,
     scale_to_int,
@@ -47,10 +48,8 @@ DEFAULT_EXACT_DIM_CAP = 5
 HRow = tuple[tuple[int, ...], Fraction]  # a . x <= b
 
 
-def exact_dim_cap(override=None) -> int:
-    """Dimension cap for exact volume; override > env > default."""
-    if override is not None:
-        return int(override)
+def exact_dim_cap() -> int:
+    """Dimension cap for exact volume: the environment variable, else the default."""
     env = os.environ.get(EXACT_DIM_CAP_ENV)
     if env:
         try:
@@ -302,8 +301,7 @@ def from_hrep(dim, raw_rows, strict=False, name=None) -> ConvexBody:
     body = ConvexBody(dim=dim, rows=rows, verts=None, bounding_box=(), name=name or f"hrep:{dim}d")
     # boundedness: every coordinate support must be finite
     box = []
-    for j in range(dim):
-        e = tuple(Fraction(1 if k == j else 0) for k in range(dim))
+    for j, e in enumerate(identity(dim)):
         try:
             box.append(body.support(e))
         except UnboundedBodyError:
@@ -340,30 +338,19 @@ def from_vertices(raw_verts, strict=False, name=None, dim=None) -> ConvexBody:
 
 def cube(d) -> ConvexBody:
     """Unit sup-norm ball, side 2."""
-    rows = []
-    for i in range(d):
-        a = tuple(1 if j == i else 0 for j in range(d))
-        rows.append((a, 1))
-    return from_hrep(d, rows, name=f"cube:{d}")
+    return from_hrep(d, [(e, 1) for e in identity(d)], name=f"cube:{d}")
 
 
 def cross(d) -> ConvexBody:
     """Unit 1-norm ball conv(+-e_i)."""
-    verts = []
-    for i in range(d):
-        verts.append(tuple(1 if j == i else 0 for j in range(d)))
-    return from_vertices(verts, name=f"cross:{d}")
+    return from_vertices(identity(d), name=f"cross:{d}")
 
 
 def box(radii) -> ConvexBody:
     """Axis-aligned box with per-coordinate radii."""
     rs = [Fraction(r) for r in radii]
-    d = len(rs)
-    rows = []
-    for i, r in enumerate(rs):
-        a = tuple(1 if j == i else 0 for j in range(d))
-        rows.append((a, r))
-    return from_hrep(d, rows, name="box:" + ",".join(str(r) for r in rs))
+    rows = list(zip(identity(len(rs)), rs))
+    return from_hrep(len(rs), rows, name="box:" + ",".join(str(r) for r in rs))
 
 
 # -- serialization --------------------------------------------------------------
@@ -458,8 +445,8 @@ def _parse_dim(s) -> int:
 # -- volume ---------------------------------------------------------------------
 
 
-def _check_exact_dim(body, dim_cap):
-    cap = exact_dim_cap(dim_cap)
+def _check_exact_dim(body):
+    cap = exact_dim_cap()
     if body.dim > cap:
         raise ExactVolumeUnsupportedError(
             f"exact volume cap is {cap}, body dimension is {body.dim} "
@@ -467,10 +454,10 @@ def _check_exact_dim(body, dim_cap):
         )
 
 
-def volume(body, mode="exact", dim_cap=None, samples=10_000, seed=0) -> Volume:
+def volume(body, mode="exact", samples=10_000, seed=0) -> Volume:
     """Volume of the body: exact (d up to the cap) or Monte Carlo box sampling."""
     if mode == "exact":
-        _check_exact_dim(body, dim_cap)
+        _check_exact_dim(body)
         return Volume(mode="exact", value=body._exact_volume)
     if mode in ("monte_carlo", "mc"):
         if samples <= 0:
@@ -494,7 +481,7 @@ def volume(body, mode="exact", dim_cap=None, samples=10_000, seed=0) -> Volume:
     raise ValueError(f"unknown volume mode {mode!r}")
 
 
-def polar_volume(body, dim_cap=None) -> Volume:
+def polar_volume(body) -> Volume:
     """Exact volume of the polar body.
 
     Both volumes come from one hull: a V-rep body's own, or the hull of an
@@ -503,5 +490,5 @@ def polar_volume(body, dim_cap=None) -> Volume:
     facets.  A pulling triangulation over that incidence
     (``hull.face_volume``) needs no hull of the polar.
     """
-    _check_exact_dim(body, dim_cap)
+    _check_exact_dim(body)
     return Volume(mode="exact", value=body._polar_exact_volume)

@@ -17,9 +17,10 @@ from fractions import Fraction
 
 from .bodies import body_from_spec, volume
 from .errors import LatsliceError
-from .lattices import LatticeSubspace, count_points
+from .hull import graham_hull
+from .lattices import LatticeSubspace, count_points, enumerate_points
 from .minima import successive_minima
-from .slicing import CandidateStrategy, brunn_check, max_slice, slice_count, slice_profile
+from .slicing import brunn_check, max_slice, slice_count, slice_profile
 from .verify import (
     frac_str,
     gauss_scaling,
@@ -86,12 +87,6 @@ def _emit(args, text_lines, payload):
         sys.stdout.write(out)
 
 
-def _strategy(args) -> CandidateStrategy:
-    if getattr(args, "normal_bound", None) is not None:
-        return CandidateStrategy(normal_bound=args.normal_bound)
-    return CandidateStrategy()
-
-
 # -- subcommand handlers ---------------------------------------------------------
 
 
@@ -150,7 +145,7 @@ def _cmd_slice(args):
         return EXIT_OK
     if args.m is None:
         raise LatsliceError("slice needs --normal or --m")
-    res = max_slice(body, args.m, _strategy(args))
+    res = max_slice(body, args.m, normal_bound=args.normal_bound)
     lines = [
         f"best: {res.best_count}",
         f"witness: {res.witness.spec()}",
@@ -211,9 +206,6 @@ def _cmd_pick(args):
     body = body_from_spec(args.body)
     if body.dim != 2:
         raise LatsliceError("pick needs a 2-dimensional body")
-    from .hull import graham_hull
-    from .lattices import enumerate_points
-
     hull_pts = graham_hull(enumerate_points(body))
     q = pick_quantities(hull_pts)
     payload = {
@@ -271,12 +263,12 @@ def _report_lines(report):
 def _cmd_verify(args):
     body = body_from_spec(args.body)
     if args.kind == "dim2":
-        report = verify_dim2(body, _strategy(args))
+        report = verify_dim2(body, normal_bound=args.normal_bound)
     elif args.kind == "unconditional":
         report = verify_unconditional(body)
     else:
         m = args.m if args.m is not None else body.dim - 1
-        report = verify_main(body, m, _strategy(args))
+        report = verify_main(body, m, normal_bound=args.normal_bound)
     _emit(args, _report_lines(report), report_to_dict(report))
     return _report_exit(report)
 

@@ -76,10 +76,11 @@ def _facets_2d(pts):
     return facets
 
 
-def hull_facets(pts, dim, guard=SUBSET_GUARD):
+def hull_facets(pts, dim):
     """All facets of conv(pts) for an integer point set spanning dimension dim.
 
     Input not affinely spanning R^dim yields [] (no full-dimensional facets).
+    More than SUBSET_GUARD d-subsets raise HullSizeError.
     """
     pts = [tuple(p) for p in pts]
     if dim == 1:
@@ -97,8 +98,8 @@ def hull_facets(pts, dim, guard=SUBSET_GUARD):
     total = 1
     for i in range(dim):
         total = total * (n - i) // (i + 1)
-    if total > guard:
-        raise HullSizeError(f"facet enumeration over {total} subsets exceeds guard {guard}")
+    if total > SUBSET_GUARD:
+        raise HullSizeError(f"facet enumeration over {total} subsets exceeds guard {SUBSET_GUARD}")
     facet_bits = [0] * n
     facets = []
     for comb in itertools.combinations(range(n), dim):
@@ -169,8 +170,8 @@ def face_volume(pts, facet_masks, dim):
     return Fraction(total, factorial(dim))
 
 
-def hull_volume(pts, dim, guard=SUBSET_GUARD):
+def hull_volume(pts, dim):
     """Exact dim-volume of conv(pts) for integer points: one hull, then face_volume."""
     pts = sorted(set(map(tuple, pts)))
-    facets = hull_facets(pts, dim, guard=guard)
+    facets = hull_facets(pts, dim)
     return face_volume(pts, [sum(1 << i for i in f.active) for f in facets], dim)

@@ -35,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, isqrt
 
 from .errors import DimensionMismatchError, SubspaceError
 from .linalg import (
+    det_int,
     dot,
     gram_det,
     identity,
@@ -89,8 +90,6 @@ class Lattice:
     def cell_volume(self) -> Fraction:
         """Cell volume; exact for full rank (|det B|) and square gram dets."""
         if self.rank == self.dim:
-            from .linalg import det_int
-
             return Fraction(abs(det_int(self.basis)))
         g = self.det_gram
         r = _isqrt_exact(g)
@@ -125,8 +124,6 @@ class Lattice:
 
 
 def _isqrt_exact(n):
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 

@@ -10,7 +10,7 @@ from math import factorial
 from .bodies import Volume, volume
 from .errors import ProgressionError
 from .lattices import Lattice, enumerate_points
-from .linalg import int_rank, is_zero
+from .linalg import det_int, int_rank, is_zero
 
 __all__ = [
     "SuccessiveMinima",
@@ -83,9 +83,9 @@ class MinkowskiFirstReport:
     consistent: bool
 
 
-def minkowski_first_check(body, dim_cap=None) -> MinkowskiFirstReport:
+def minkowski_first_check(body) -> MinkowskiFirstReport:
     """vol(K) >= 2^d must force a nonzero lattice point."""
-    v = volume(body, dim_cap=dim_cap)
+    v = volume(body)
     nonzero = any(not is_zero(p) for p in body.lattice_points)
     consistent = not (v.value >= 2**body.dim and not nonzero)
     return MinkowskiFirstReport(vol=v, has_nonzero_point=nonzero, consistent=consistent)
@@ -100,7 +100,7 @@ class MinkowskiSecondReport:
     holds: bool
 
 
-def minkowski_second_check(body, lattice=None, dim_cap=None) -> MinkowskiSecondReport:
+def minkowski_second_check(body, lattice=None) -> MinkowskiSecondReport:
     """Exact sandwich (1/d!) prod 2/lambda_i <= vol/det <= prod 2/lambda_i."""
     lat = lattice or Lattice.standard(body.dim)
     sm = successive_minima(body, lat)
@@ -109,7 +109,7 @@ def minkowski_second_check(body, lattice=None, dim_cap=None) -> MinkowskiSecondR
         prod *= Fraction(2) / lam
     lhs = prod / factorial(lat.rank)
     det = lat.cell_volume()
-    ratio = Fraction(volume(body, dim_cap=dim_cap).value) / det
+    ratio = Fraction(volume(body).value) / det
     return MinkowskiSecondReport(
         lambdas=sm.lambdas,
         lhs=lhs,
@@ -174,7 +174,7 @@ class ProgressionBoundReport:
     holds: bool
 
 
-def progression_volume_bound(p, body, dim_cap=None) -> ProgressionBoundReport:
+def progression_volume_bound(p, body) -> ProgressionBoundReport:
     """If Image(P) sits in K, then vol(K) >= prod(2 N_i) * |det v|."""
     d = body.dim
     if p.rank != d:
@@ -184,14 +184,12 @@ def progression_volume_bound(p, body, dim_cap=None) -> ProgressionBoundReport:
     if any(n < 1 for n in p.N):
         raise ProgressionError("volume bound needs all N_i >= 1")
     contained = all(body.contains(pt) for pt in progression_image(p))
-    from .linalg import det_int
-
     lb = Fraction(abs(det_int([list(v) for v in p.vectors])))
     for n in p.N:
         lb *= 2 * n
     holds = False
     if contained:
-        holds = Fraction(volume(body, dim_cap=dim_cap).value) >= lb
+        holds = Fraction(volume(body).value) >= lb
     return ProgressionBoundReport(contained=contained, vol_lb=lb, holds=holds)
 
 

@@ -13,8 +13,8 @@ once into point counts per primitive direction; a span's count is the
 zero point plus the counts of the directions it contains, and the
 Hermite-form subspace is built only for the spans tied at the maximum.
 The search is exhaustive-certified only when the family "spans of
-m-subsets of lattice points of K (plus coordinate vectors)" is small
-enough to enumerate, since an optimizer can always be rebuilt from the
+m-subsets of lattice points of K (plus coordinate vectors)" has at most
+CERTIFY_LIMIT subsets, since an optimizer can always be rebuilt from the
 points it contains; otherwise the result is a certified lower bound,
 which is the conservative direction for every inequality this package
 checks.
@@ -32,10 +32,10 @@ from operator import mul
 
 from .errors import SubspaceError
 from .lattices import LatticeSubspace, PointCount, count_points, sublattice
-from .linalg import dot, is_zero, primitive
+from .linalg import dot, identity, is_zero, primitive
+from .minima import successive_minima
 
 __all__ = [
-    "CandidateStrategy",
     "SliceProfile",
     "MaxSliceResult",
     "BrunnReport",
@@ -46,24 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CandidateStrategy:
-    """Knobs for the max-slice candidate family."""
-
-    normal_bound: int | None = None  # None: 3 for d <= 4, else 1
-    include_polar_basis: bool = True
-    certify_limit: int = 20_000
-
-    def __post_init__(self):
-        if self.normal_bound is not None and self.normal_bound < 1:
-            raise ValueError("normal_bound must be at least 1")
-        if self.certify_limit < 0:
-            raise ValueError("certify_limit must be non-negative")
-
-    def bound_for(self, d) -> int:
-        if self.normal_bound is not None:
-            return self.normal_bound
-        return 3 if d <= 4 else 1
+CERTIFY_LIMIT = 20_000  # most m-subsets a max-slice search walks
 
 
 @dataclass(frozen=True)
@@ -173,13 +156,7 @@ def _primitive_vectors(d, bound):
     return tuple(sorted(out))
 
 
-def _coordinate_vectors(d):
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
 def _polar_basis(body):
-    from .minima import successive_minima
-
     return successive_minima(body.polar()).directional_basis
 
 
@@ -239,7 +216,12 @@ def _spans(vectors, d, m, limit):
     return spans
 
 
-def max_slice(body, m, strategy=None) -> MaxSliceResult:
+def _check_normal_bound(normal_bound):
+    if normal_bound is not None and normal_bound < 1:
+        raise ValueError("normal_bound must be at least 1")
+
+
+def max_slice(body, m, normal_bound=None) -> MaxSliceResult:
     """Maximize #(K ∩ H ∩ Z^d) over a family of m-dimensional lattice subspaces.
 
     Candidates are spans of m-subsets of a vector family keyed by their
@@ -252,19 +234,23 @@ def max_slice(body, m, strategy=None) -> MaxSliceResult:
     every direction.  The Hermite-form subspace is built only for the
     candidates tied at the maximum, and the witness is the one with the
     smallest basis.
+
+    The fallback families hold the primitive vectors of sup-norm at most
+    normal_bound (None: 3 for d <= 4, else 1), the coordinate vectors and
+    the directional basis of the polar's successive minima.
     """
+    _check_normal_bound(normal_bound)
     d = body.dim
     if d < 2:
         raise SubspaceError(f"max slice needs d >= 2, got d = {d}")
     if not 1 <= m <= d - 1:
         raise SubspaceError(f"slice dimension must be in [1, {d - 1}]")
-    strategy = strategy or CandidateStrategy()
     points = body.lattice_points
     mult = Counter(primitive(p) for p in points if not is_zero(p))  # points per direction
     zero = len(points) - sum(mult.values())
 
-    spanning = tuple(sorted(set(mult) | set(_coordinate_vectors(d))))
-    spans = _spans(spanning, d, m, strategy.certify_limit)
+    spanning = tuple(sorted(set(mult) | set(identity(d))))
+    spans = _spans(spanning, d, m, CERTIFY_LIMIT)
     exhaustive = spans is not None
     if exhaustive:
         build = LatticeSubspace.from_basis
@@ -273,11 +259,12 @@ def max_slice(body, m, strategy=None) -> MaxSliceResult:
             for key, (first, members) in spans.items()
         }
     else:
-        extra = list(_coordinate_vectors(d))
-        if strategy.include_polar_basis:
-            extra.extend(primitive(v) for v in _polar_basis(body))
+        if normal_bound is None:
+            normal_bound = 3 if d <= 4 else 1
+        extra = identity(d)
+        extra.extend(primitive(v) for v in _polar_basis(body))
         if m == d - 1:
-            normals = set(_primitive_vectors(d, strategy.bound_for(d)))
+            normals = set(_primitive_vectors(d, normal_bound))
             normals.update(primitive(v) for v in extra)
             build = LatticeSubspace.from_normal
             candidates = {
@@ -285,13 +272,13 @@ def max_slice(body, m, strategy=None) -> MaxSliceResult:
                 for u in normals
             }
         else:
-            vecs = set(_primitive_vectors(d, strategy.bound_for(d)))
+            vecs = set(_primitive_vectors(d, normal_bound))
             vecs.update(extra)
-            spans = _spans(tuple(sorted(vecs)), d, m, strategy.certify_limit)
+            spans = _spans(tuple(sorted(vecs)), d, m, CERTIFY_LIMIT)
             if spans is None:
-                spans = _spans(tuple(sorted(set(extra))), d, m, strategy.certify_limit)
+                spans = _spans(tuple(sorted(set(extra))), d, m, CERTIFY_LIMIT)
             if spans is None:
-                raise SubspaceError("candidate family too large; tighten the strategy")
+                raise SubspaceError("candidate family too large")
             terms = _expansion(d, m)
             build = LatticeSubspace.from_basis
             candidates = {

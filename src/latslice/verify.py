@@ -27,9 +27,9 @@ from .lattices import (
     project_count,
     sublattice,
 )
-from .linalg import dot, is_zero, kernel_basis
-from .minima import minkowski_second_check, successive_minima
-from .slicing import max_slice, slice_profile
+from .linalg import dot, identity, is_zero, kernel_basis
+from .minima import successive_minima
+from .slicing import _check_normal_bound, max_slice, slice_profile
 
 __all__ = [
     "PickQuantities",
@@ -148,6 +148,15 @@ def _observed(count, best, vol, d, m):
     return power, float(power) ** (1.0 / d)
 
 
+def _minkowski_second_entry(name, lambdas, vol) -> ChainEntry:
+    """Minkowski's second theorem on Z^d: (1/d!) prod 2/lambda_i <= vol <= prod 2/lambda_i."""
+    prod = Fraction(1)
+    for lam in lambdas:
+        prod *= Fraction(2) / lam
+    lhs = prod / factorial(len(lambdas))
+    return ChainEntry(name, lhs <= vol <= prod, f"{lhs} <= {vol} <= {prod}")
+
+
 def _hypothesis_report(kind, body, d, m, count, seed):
     return SlicingReport(
         kind=kind,
@@ -173,8 +182,9 @@ def _hypothesis_report(kind, body, d, m, count, seed):
 # -- the 2d chain ------------------------------------------------------------------
 
 
-def verify_dim2(body, strategy=None, seed=None) -> SlicingReport:
+def verify_dim2(body, normal_bound=None, seed=None) -> SlicingReport:
     """Pick-based chain: hull identity, point bound, and the constant-4 inequality."""
+    _check_normal_bound(normal_bound)
     if body.dim != 2:
         raise LatsliceError("verify_dim2 needs a 2-dimensional body")
     pts = body.lattice_points
@@ -195,7 +205,7 @@ def verify_dim2(body, strategy=None, seed=None) -> SlicingReport:
         )
     )
     vol = volume(body).value
-    ms = max_slice(body, 1, strategy)
+    ms = max_slice(body, 1, normal_bound)
     lhs = Fraction(count) ** 2
     rhs = 16 * Fraction(ms.best_count) ** 2 * vol
     chain.append(ChainEntry("slicing-inequality", lhs <= rhs, f"{lhs} <= {rhs}"))
@@ -223,7 +233,7 @@ def verify_dim2(body, strategy=None, seed=None) -> SlicingReport:
 # -- unconditional chain --------------------------------------------------------------
 
 
-def verify_unconditional(body, dim_cap=None, seed=None) -> SlicingReport:
+def verify_unconditional(body, seed=None) -> SlicingReport:
     """Coordinate-dominance chain for unconditional bodies."""
     d = body.dim
     if not body.is_unconditional():
@@ -231,11 +241,11 @@ def verify_unconditional(body, dim_cap=None, seed=None) -> SlicingReport:
     count = len(body.lattice_points)
     if dim_of_lattice_span(body) < d:
         return _hypothesis_report("unconditional", body, d, d - 1, count, seed)
+    axes = identity(d)
     coord_profiles = []
     dominance = True
     details = []
-    for i in range(d):
-        u = tuple(1 if j == i else 0 for j in range(d))
+    for i, u in enumerate(axes):
         prof = slice_profile(body, LatticeSubspace.from_normal(u))
         coord_profiles.append(prof)
         if prof.central != prof.max_count:
@@ -244,7 +254,7 @@ def verify_unconditional(body, dim_cap=None, seed=None) -> SlicingReport:
     chain = [ChainEntry("coordinate-dominance", dominance, "; ".join(details))]
 
     sm = successive_minima(body)
-    coord_gauges = [body.gauge(tuple(1 if j == i else 0 for j in range(d))) for i in range(d)]
+    coord_gauges = [body.gauge(u) for u in axes]
     gauges = sorted(coord_gauges)
     chain.append(
         ChainEntry(
@@ -274,11 +284,8 @@ def verify_unconditional(body, dim_cap=None, seed=None) -> SlicingReport:
             f"{factor} <= 3/{lam_d}",
         )
     )
-    mk = minkowski_second_check(body, dim_cap=dim_cap)
-    chain.append(
-        ChainEntry("minkowski-second", mk.holds, f"{mk.lhs} <= {mk.vol_ratio} <= {mk.rhs}")
-    )
-    vol = volume(body, dim_cap=dim_cap).value
+    vol = volume(body).value
+    chain.append(_minkowski_second_entry("minkowski-second", sm.lambdas, vol))
     best = max(p.central for p in coord_profiles)
     power, disp = _observed(count, best, vol, d, d - 1)
     return SlicingReport(
@@ -304,8 +311,9 @@ def verify_unconditional(body, dim_cap=None, seed=None) -> SlicingReport:
 # -- general co-dimensional chain -------------------------------------------------------
 
 
-def verify_main(body, m, strategy=None, dim_cap=None, seed=None) -> SlicingReport:
+def verify_main(body, m, normal_bound=None, seed=None) -> SlicingReport:
     """Polar-minima chain for the co-dimensional counting inequality."""
+    _check_normal_bound(normal_bound)
     d = body.dim
     if d < 2:
         raise LatsliceError(f"the main chain needs d >= 2, got d = {d}")
@@ -357,21 +365,11 @@ def verify_main(body, m, strategy=None, dim_cap=None, seed=None) -> SlicingRepor
         )
     )
 
-    vol = volume(body, dim_cap=dim_cap).value
-    vol_polar = polar_volume(body, dim_cap=dim_cap).value
-    prod = Fraction(1)
-    for l in lam:
-        prod *= Fraction(2) / l
-    mk_holds = prod / factorial(d) <= vol_polar <= prod
-    chain.append(
-        ChainEntry(
-            "minkowski-second-polar",
-            mk_holds,
-            f"{prod / factorial(d)} <= {vol_polar} <= {prod}",
-        )
-    )
+    vol = volume(body).value
+    vol_polar = polar_volume(body).value
+    chain.append(_minkowski_second_entry("minkowski-second-polar", lam, vol_polar))
     mahler = Fraction(vol) * vol_polar
-    ms = max_slice(body, m, strategy)
+    ms = max_slice(body, m, normal_bound)
     power, disp = _observed(count, ms.best_count, vol, d, m)
     return SlicingReport(
         kind="main",
@@ -472,7 +470,7 @@ class GaussScalingReport:
     slice_abs_dev: tuple[Fraction, ...] | None = None
 
 
-def gauss_scaling(body, radii, hyperplane=None, dim_cap=None) -> GaussScalingReport:
+def gauss_scaling(body, radii, hyperplane=None) -> GaussScalingReport:
     """Exact counts of rK against r^d vol(K), plus an optional slice analogue.
 
     The slice expectation is r^m times the lattice-normalized section
@@ -481,7 +479,7 @@ def gauss_scaling(body, radii, hyperplane=None, dim_cap=None) -> GaussScalingRep
     rationals.
     """
     d = body.dim
-    vol = Fraction(volume(body, dim_cap=dim_cap).value)
+    vol = Fraction(volume(body).value)
     rs = [Fraction(r) for r in radii]
     if not rs:
         raise ValueError("gauss scaling needs at least one radius")
@@ -507,7 +505,7 @@ def gauss_scaling(body, radii, hyperplane=None, dim_cap=None) -> GaussScalingRep
                 continue
             section_rows.append((arow, b))
         section = from_hrep(lat.rank, section_rows, name=f"section({body.name})")
-        sec_vol = Fraction(volume(section, dim_cap=dim_cap).value)
+        sec_vol = Fraction(volume(section).value)
         s_counts, s_expect, s_abs = [], [], []
         for r in rs:
             c = count_points(body, lat, scale=r).total
@@ -582,8 +580,7 @@ def random_unconditional_body(d, seed) -> ConvexBody:
             verts.append(tuple(v))
         return from_vertices(verts, name=f"diamond:{d}:{seed}")
     rows = []
-    for i in range(d):
-        a = tuple(1 if j == i else 0 for j in range(d))
+    for a in identity(d):
         # partner given: in d = 1 the weighted rows below share these normals
         r = radius()
         rows += [(a, r), (tuple(-x for x in a), r)]

@@ -57,9 +57,8 @@ from latslice.linalg import (
     vec_sub,
 )
 from latslice.slicing import (
-    CandidateStrategy,
+    CERTIFY_LIMIT,
     MaxSliceResult,
-    _coordinate_vectors,
     _polar_basis,
     _primitive_vectors,
 )
@@ -377,7 +376,7 @@ def hull_vertex_indices(pts, dim, facets=None):
     return [i for i, normals in enumerate(by_point) if len(normals) >= dim and int_rank(normals) == dim]
 
 
-def hull_volume(pts, dim, guard=hull.SUBSET_GUARD):
+def hull_volume(pts, dim):
     """Exact dim-volume of conv(pts) for integer points, by fan decomposition.
 
     A base vertex is coned over every facet avoiding it; each facet volume
@@ -394,13 +393,13 @@ def hull_volume(pts, dim, guard=hull.SUBSET_GUARD):
     if int_rank([vec_sub(p, base) for p in pts[1:]]) < dim:
         return Fraction(0)
     total = Fraction(0)
-    for f in hull.hull_facets(pts, dim, guard=guard):
+    for f in hull.hull_facets(pts, dim):
         h = f.offset - dot(f.normal, base)
         if h == 0:
             continue
         j = max(range(dim), key=lambda k: abs(f.normal[k]))
         proj = [pts[i][:j] + pts[i][j + 1 :] for i in f.active]
-        total += Fraction(h, abs(f.normal[j])) * hull_volume(proj, dim - 1, guard=guard)
+        total += Fraction(h, abs(f.normal[j])) * hull_volume(proj, dim - 1)
     return total / dim
 
 
@@ -563,38 +562,38 @@ def _spans(vectors, d, m, limit):
     return spans
 
 
-def max_slice(body, m, strategy=None) -> MaxSliceResult:
+def max_slice(body, m, normal_bound=None, certify_limit=CERTIFY_LIMIT) -> MaxSliceResult:
     """Maximize #(K ∩ H ∩ Z^d) over a family of m-dimensional lattice subspaces."""
     d = body.dim
     if not 1 <= m <= d - 1:
         raise SubspaceError(f"slice dimension must be in [1, {d - 1}]")
-    strategy = strategy or CandidateStrategy()
+    if normal_bound is None:
+        normal_bound = 3 if d <= 4 else 1
     points = body.lattice_points
     half = sorted({primitive(p) for p in points if not is_zero(p)})
 
     exhaustive = False
     candidates = None
-    spanning = tuple(sorted(set(half) | set(_coordinate_vectors(d))))
-    certified = _subspaces_from_vectors(spanning, m, strategy.certify_limit)
+    spanning = tuple(sorted(set(half) | set(identity(d))))
+    certified = _subspaces_from_vectors(spanning, m, certify_limit)
     if certified is not None:
         candidates = certified
         exhaustive = True
     else:
-        extra = list(_coordinate_vectors(d))
-        if strategy.include_polar_basis:
-            extra.extend(primitive(v) for v in _polar_basis(body))
+        extra = identity(d)
+        extra.extend(primitive(v) for v in _polar_basis(body))
         if m == d - 1:
-            normals = set(_primitive_vectors(d, strategy.bound_for(d)))
+            normals = set(_primitive_vectors(d, normal_bound))
             normals.update(primitive(v) for v in extra)
             candidates = [LatticeSubspace.from_normal(u) for u in sorted(normals)]
         else:
-            vecs = set(_primitive_vectors(d, strategy.bound_for(d)))
+            vecs = set(_primitive_vectors(d, normal_bound))
             vecs.update(extra)
-            fam = _subspaces_from_vectors(tuple(sorted(vecs)), m, strategy.certify_limit)
+            fam = _subspaces_from_vectors(tuple(sorted(vecs)), m, certify_limit)
             if fam is None:
-                fam = _subspaces_from_vectors(tuple(sorted(set(extra))), m, strategy.certify_limit)
+                fam = _subspaces_from_vectors(tuple(sorted(set(extra))), m, certify_limit)
             if fam is None:
-                raise SubspaceError("candidate family too large; tighten the strategy")
+                raise SubspaceError("candidate family too large")
             candidates = fam
 
     best = None

@@ -309,10 +309,11 @@ def test_volume_box():
     assert volume(wide_box()).value == 6
 
 
-def test_volume_cap():
+def test_volume_cap(monkeypatch):
     with pytest.raises(ExactVolumeUnsupportedError):
         volume(cube(6))
-    assert volume(cube(6), dim_cap=6).value == 64
+    monkeypatch.setenv("LATSLICE_EXACT_DIM_CAP", "6")
+    assert volume(cube(6)).value == 64
 
 
 def test_volume_cap_env(monkeypatch):
@@ -323,10 +324,11 @@ def test_volume_cap_env(monkeypatch):
         volume(cube(3))
 
 
-def test_polar_volume_cap():
+def test_polar_volume_cap(monkeypatch):
     with pytest.raises(ExactVolumeUnsupportedError, match="LATSLICE_EXACT_DIM_CAP"):
         polar_volume(cube(6))
-    assert polar_volume(cube(6), dim_cap=6).value == Fraction(4, 45)
+    monkeypatch.setenv("LATSLICE_EXACT_DIM_CAP", "6")
+    assert polar_volume(cube(6)).value == Fraction(4, 45)
 
 
 def test_volume_vrep_hrep_routes_agree():

@@ -188,6 +188,23 @@ def test_slice_non_positive_normal_bound_exit1(capsys):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("kind", ["main", "dim2"])
+@pytest.mark.parametrize("body", ["cube:3", "box:1/2,3"])
+def test_verify_non_positive_normal_bound_exit1(capsys, kind, body):
+    # box:1/2,3 violates the hypothesis; the bound is still rejected first
+    code, out, err = run(capsys, "verify", kind, "--body", body, "--normal-bound", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: normal_bound must be at least 1\n"
+
+
+def test_verify_unconditional_takes_no_normal_bound(capsys):
+    code, out, err = run(capsys, "verify", "unconditional", "--body", "box:1/2,3", "--normal-bound", "0")
+    assert code == 0
+    assert out.endswith("hypothesis violated: dim(K ∩ Z^d) < d\n")
+    assert err == ""
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(
@@ -215,7 +232,7 @@ def test_math_failure_exit2(capsys, monkeypatch):
     import latslice.cli as cli
     from latslice.verify import ChainEntry, SlicingReport
 
-    def fake_verify(body, strategy=None, seed=None):
+    def fake_verify(body, normal_bound=None, seed=None):
         return SlicingReport(
             kind="dim2", body=body.name, d=2, m=1, count_total=9,
             max_slice_count=3, max_slice_witness="u:0,1", max_slice_exhaustive=True,

@@ -177,8 +177,10 @@ def test_hyperplane_through():
     a, b = res
     assert linalg.dot(a, (1, 0)) == b and linalg.dot(a, (0, 1)) == b
     assert linalg.content(a + (b,)) == 1
-    # collinear points span no unique hyperplane
-    assert linalg.hyperplane_through([(0, 0), (2, 2)]) is None or True
+    # two distinct points span one line: x - y = 0
+    assert linalg.hyperplane_through([(0, 0), (2, 2)]) == ((1, -1), 0)
+    # two equal points span no unique hyperplane
+    assert linalg.hyperplane_through([(2, 2), (2, 2)]) is None
 
 
 def test_hyperplane_through_degenerate():

@@ -17,7 +17,6 @@ from latslice import (
 import oracle
 from latslice import slicing
 from latslice.slicing import (
-    CandidateStrategy,
     brunn_check,
     max_slice,
     slice_count,
@@ -27,6 +26,8 @@ from latslice.verify import (
     random_rational_symmetric_2d,
     random_symmetric_body,
     random_unconditional_body,
+    verify_dim2,
+    verify_main,
 )
 
 
@@ -154,9 +155,13 @@ def _summary(res):
     return res.best_count, res.witness.spec(), res.candidates_searched, res.exhaustive
 
 
-def _matches_oracle(body, m, strategy=None):
-    res = max_slice(body, m, strategy)
-    assert _summary(res) == _summary(oracle.max_slice(body, m, strategy))
+def _oracle_summary(body, m, normal_bound=None):
+    return _summary(oracle.max_slice(body, m, normal_bound, slicing.CERTIFY_LIMIT))
+
+
+def _matches_oracle(body, m, normal_bound=None):
+    res = max_slice(body, m, normal_bound)
+    assert _summary(res) == _oracle_summary(body, m, normal_bound)
     return res
 
 
@@ -246,20 +251,23 @@ def test_max_slice_builds_subspaces_only_for_ties(monkeypatch):
 
 @pytest.mark.parametrize(
     "body, strategy",
+    # strategy: (normal_bound, CERTIFY_LIMIT), or None for the defaults
     [
         (cube(5), None),
-        (cross(5), CandidateStrategy(certify_limit=0)),
-        (cube(5), CandidateStrategy(normal_bound=2, include_polar_basis=False)),
-        (random_symmetric_body(3, 0), CandidateStrategy(certify_limit=0)),
+        (cross(5), (None, 0)),
+        (cube(5), (2, slicing.CERTIFY_LIMIT)),
+        (random_symmetric_body(3, 0), (None, 0)),
     ],
 )
-def test_max_slice_normals_branch_matches_oracle(body, strategy):
-    res = _matches_oracle(body, body.dim - 1, strategy)
+def test_max_slice_normals_branch_matches_oracle(monkeypatch, body, strategy):
+    bound, limit = strategy or (None, slicing.CERTIFY_LIMIT)
+    monkeypatch.setattr(slicing, "CERTIFY_LIMIT", limit)
+    res = _matches_oracle(body, body.dim - 1, bound)
     assert not res.exhaustive
 
 
 @pytest.mark.parametrize("seed", [2, 5])
-@pytest.mark.parametrize("polar", [True, False])
+@pytest.mark.parametrize("direct", [True, False])
 @pytest.mark.parametrize(
     "bound, limit",
     # (1, 800): the 40 sup-norm-1 vectors give 780 subsets, so the bounded
@@ -267,28 +275,43 @@ def test_max_slice_normals_branch_matches_oracle(body, strategy):
     # and the polar basis
     [(1, 800), (None, 6), (None, 100)],
 )
-def test_max_slice_span_branches_match_oracle(seed, polar, bound, limit):
-    strategy = CandidateStrategy(
-        normal_bound=bound, certify_limit=limit, include_polar_basis=polar
-    )
-    res = _matches_oracle(random_symmetric_body(4, seed), 2, strategy)
-    assert not res.exhaustive
-    assert (res.candidates_searched > 28) == (bound == 1)
+def test_max_slice_span_branches_match_oracle(monkeypatch, seed, direct, bound, limit):
+    # direct: max_slice itself; otherwise the search verify_main runs with normal_bound
+    monkeypatch.setattr(slicing, "CERTIFY_LIMIT", limit)
+    body = random_symmetric_body(4, seed)
+    if direct:
+        got = _summary(max_slice(body, 2, bound))
+    else:
+        rep = verify_main(body, 2, normal_bound=bound)
+        got = (rep.max_slice_count, rep.max_slice_witness, rep.candidates_searched, rep.max_slice_exhaustive)
+    assert got == _oracle_summary(body, 2, bound)
+    _, _, searched, exhaustive = got
+    assert not exhaustive
+    assert (searched > 28) == (bound == 1)
 
 
-def test_max_slice_family_too_large():
-    strategy = CandidateStrategy(certify_limit=5, include_polar_basis=False)
-    for search in (max_slice, oracle.max_slice):
-        with pytest.raises(SubspaceError, match="candidate family too large"):
-            search(cube(4), 2, strategy)
+def test_max_slice_family_too_large(monkeypatch):
+    # the fallback of last resort, cube(4)'s coordinate vectors (its polar
+    # basis too), gives 6 subsets
+    monkeypatch.setattr(slicing, "CERTIFY_LIMIT", 5)
+    with pytest.raises(SubspaceError, match="candidate family too large"):
+        max_slice(cube(4), 2)
+    with pytest.raises(SubspaceError, match="candidate family too large"):
+        oracle.max_slice(cube(4), 2, certify_limit=5)
 
 
-@pytest.mark.parametrize(
-    "knobs", [{"normal_bound": 0}, {"normal_bound": -1}, {"certify_limit": -1}]
-)
+@pytest.mark.parametrize("knobs", [{"normal_bound": 0}, {"normal_bound": -1}])
 def test_candidate_strategy_rejects_bad_knobs(knobs):
-    with pytest.raises(ValueError):
-        CandidateStrategy(**knobs)
+    # box 1/2 x 3 violates the chains' hypothesis: the bound is rejected
+    # before a chain could return early
+    flat = box([Fraction(1, 2), 3])
+    for search in (
+        lambda: max_slice(cube(3), 2, **knobs),
+        lambda: verify_main(flat, 1, **knobs),
+        lambda: verify_dim2(flat, **knobs),
+    ):
+        with pytest.raises(ValueError, match="normal_bound must be at least 1"):
+            search()
 
 
 # -- Brunn dominance ---------------------------------------------------------------

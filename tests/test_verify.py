@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latslice import Lattice, LatticeSubspace, box, cross, cube, from_vertices
+from latslice import Lattice, LatticeSubspace, box, cross, cube, from_vertices, minima, verify
 from latslice.errors import DegenerateBodyError, SymmetryError
+from latslice.minima import minkowski_second_check
 from latslice.verify import (
     PolygonError,
     covering_lemma_check,
@@ -136,6 +137,41 @@ def test_unconditional_random_suite_small():
         d = 2 + seed % 3
         rep = verify_unconditional(random_unconditional_body(d, seed))
         assert rep.ok, rep.failures()
+
+
+def _entry(rep, name):
+    return next(e for e in rep.chain if e.name == name)
+
+
+def _check_detail(mk):
+    return mk.holds, f"{mk.lhs} <= {mk.vol_ratio} <= {mk.rhs}"
+
+
+def test_unconditional_minima_once_and_minkowski_entry_matches_check(monkeypatch):
+    calls = []
+    original = verify.successive_minima
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # the chain's own name and the one minima's checks call
+    monkeypatch.setattr(verify, "successive_minima", counted)
+    monkeypatch.setattr(minima, "successive_minima", counted)
+    for seed in range(6):
+        body = random_unconditional_body(2 + seed % 3, seed)
+        calls.clear()
+        rep = verify_unconditional(body)
+        assert len(calls) == 1
+        entry = _entry(rep, "minkowski-second")
+        assert (entry.passed, entry.detail) == _check_detail(minkowski_second_check(body))
+
+
+def test_main_minkowski_entry_matches_check_on_polar():
+    for seed in range(4):
+        body = random_symmetric_body(3, seed)
+        entry = _entry(verify_main(body, 2), "minkowski-second-polar")
+        assert (entry.passed, entry.detail) == _check_detail(minkowski_second_check(body.polar()))
 
 
 # -- main chain ----------------------------------------------------------------------
