@@ -114,6 +114,12 @@ class ConvexBody:
         return out
 
     @cached_property
+    def _support_lp(self):
+        """(v, P): int vectors v = P·a / b, P the lcm of the b numerators; h_K(u) = min Σμ, Σ μ_i v_i = P·u."""
+        P = math.lcm(*(b.numerator for _, b in self.rows))
+        return [tuple(ai * (P // b.numerator * b.denominator) for ai in a) for a, b in self.rows], P
+
+    @cached_property
     def lattice_points(self) -> tuple[tuple[int, ...], ...]:
         """K ∩ Z^d in ascending lex order: listed once, freed with the body."""
         return tuple(lattices._listing(self))
@@ -186,8 +192,8 @@ class ConvexBody:
         u = self._check_point(direction)
         if self.verts is not None:
             return max(dot(u, v) for v in self.verts)
-        polar_verts = [tuple(Fraction(ai) / b for ai in a) for a, b in self.rows]
-        h = lp.min_combination(polar_verts, u)
+        vectors, P = self._support_lp
+        h = lp.min_combination(vectors, tuple(P * x for x in u))
         if h is None:
             raise UnboundedBodyError("support function is infinite")
         return h

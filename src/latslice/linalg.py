@@ -64,15 +64,11 @@ def frac_vec(u) -> FracVec:
 def scale_to_int(vectors: list[FracVec]) -> tuple[list[IntVec], int]:
     """Common positive integer multiplier turning every vector integral.
 
-    Returns (scaled integer vectors, multiplier L) with scaled = L * original.
+    Returns (scaled integer vectors, multiplier L) with scaled = L * original,
+    for int or Fraction entries.
     """
-    L = 1
-    for v in vectors:
-        for a in v:
-            f = Fraction(a)
-            L = L * f.denominator // gcd(L, f.denominator)
-    out = [tuple(int(Fraction(a) * L) for a in v) for v in vectors]
-    return out, L
+    L = lcm(*(a.denominator for v in vectors for a in v))
+    return [tuple(a.numerator * (L // a.denominator) for a in v) for v in vectors], L
 
 
 def transpose(m):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .bodies import Volume, volume
 from .errors import ProgressionError
@@ -17,6 +17,7 @@ __all__ = [
     "Progression",
     "successive_minima",
     "minkowski_first_check",
+    "minkowski_second_bounds",
     "minkowski_second_check",
     "make_progression",
     "progression_image",
@@ -100,22 +101,25 @@ class MinkowskiSecondReport:
     holds: bool
 
 
+def minkowski_second_bounds(lambdas) -> tuple[Fraction, Fraction]:
+    """Minkowski II's sandwich of vol/det for the minima: ((1/k!) prod 2/lambda_i, prod 2/lambda_i)."""
+    upper = prod((Fraction(2) / lam for lam in lambdas), start=Fraction(1))
+    return upper / factorial(len(lambdas)), upper
+
+
 def minkowski_second_check(body, lattice=None) -> MinkowskiSecondReport:
     """Exact sandwich (1/d!) prod 2/lambda_i <= vol/det <= prod 2/lambda_i."""
     lat = lattice or Lattice.standard(body.dim)
     sm = successive_minima(body, lat)
-    prod = Fraction(1)
-    for lam in sm.lambdas:
-        prod *= Fraction(2) / lam
-    lhs = prod / factorial(lat.rank)
+    lhs, rhs = minkowski_second_bounds(sm.lambdas)
     det = lat.cell_volume()
     ratio = Fraction(volume(body).value) / det
     return MinkowskiSecondReport(
         lambdas=sm.lambdas,
         lhs=lhs,
         vol_ratio=ratio,
-        rhs=prod,
-        holds=lhs <= ratio <= prod,
+        rhs=rhs,
+        holds=lhs <= ratio <= rhs,
     )
 
 

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor, gcd
+from math import floor, gcd
 
 from .bodies import ConvexBody, box, from_hrep, from_vertices, polar_volume, volume
 from .errors import DegenerateBodyError, LatsliceError, SymmetryError
@@ -28,7 +28,7 @@ from .lattices import (
     sublattice,
 )
 from .linalg import dot, identity, is_zero, kernel_basis
-from .minima import successive_minima
+from .minima import minkowski_second_bounds, successive_minima
 from .slicing import _check_normal_bound, max_slice, slice_profile
 
 __all__ = [
@@ -150,11 +150,8 @@ def _observed(count, best, vol, d, m):
 
 def _minkowski_second_entry(name, lambdas, vol) -> ChainEntry:
     """Minkowski's second theorem on Z^d: (1/d!) prod 2/lambda_i <= vol <= prod 2/lambda_i."""
-    prod = Fraction(1)
-    for lam in lambdas:
-        prod *= Fraction(2) / lam
-    lhs = prod / factorial(len(lambdas))
-    return ChainEntry(name, lhs <= vol <= prod, f"{lhs} <= {vol} <= {prod}")
+    lhs, rhs = minkowski_second_bounds(lambdas)
+    return ChainEntry(name, lhs <= vol <= rhs, f"{lhs} <= {vol} <= {rhs}")
 
 
 def _hypothesis_report(kind, body, d, m, count, seed):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,34 @@ def test_hrep_rejects_asymmetric_offsets():
 def test_hrep_rejects_unbounded():
     with pytest.raises(UnboundedBodyError):
         from_hrep(2, [((1, 0), 1), ((-1, 0), 1)])
+
+
+def test_hrep_unbounded_error_names_the_coordinate():
+    with pytest.raises(UnboundedBodyError, match=r"^body unbounded along coordinate 1$"):
+        from_hrep(2, [((1, 0), 1), ((-1, 0), 1)])
+    with pytest.raises(UnboundedBodyError, match=r"^body unbounded along coordinate 0$"):
+        from_hrep(3, [((0, 1, 0), 1), ((0, 0, 1), 2), ((0, 1, 1), 2)])
+
+
+def _hrep_box_bodies():
+    bodies = [cube(d) for d in range(2, 8)] + [box([3, Fraction(1, 2), 2])]
+    for d in (2, 3, 4):
+        seeded = (random_unconditional_body(d, seed) for seed in itertools.count())
+        bodies += itertools.islice((b for b in seeded if b.rows is not None), 4)
+    return bodies
+
+
+def test_hrep_box_matches_oracle_lp_and_polar_facets(monkeypatch):
+    for body in _hrep_box_bodies():
+        d = body.dim
+        assert body.bounding_box == oracle.hrep_box(body)
+        # h_K(e_j) = max a_j / b over the polar's facets a . y <= b, with no LP
+        facets = body.polar().facet_rows
+        assert body.bounding_box == tuple(max(a[j] / b for a, b in facets) for j in range(d))
+        calls = _count_calls(monkeypatch, lp, "min_combination")
+        assert from_hrep(d, body.rows).bounding_box == body.bounding_box
+        monkeypatch.undo()
+        assert len(calls) == d
 
 
 def test_hrep_rejects_empty_interior():
