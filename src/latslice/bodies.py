@@ -6,9 +6,14 @@ offsets, stored in +/- pairs) or a V-rep (rational hull generators in
 roots are never taken (callers compare d-th powers instead).
 
 Each body owns one hull.  A V-rep body hulls its generators; an H-rep body
-hulls its cached V-rep dual conv(a / b), which is also its polar.  Gauge and
-membership read the facet rows, and both volumes read the one hull's
-facet–point incidence, in either direction.
+hulls its cached V-rep dual conv(a / b), which is also its polar.  Both
+volumes read the one hull's facet–point incidence, in either direction.
+
+Gauge, membership, the support LP and a V-rep polar's bounding box read one
+cached integer gauge table ``(c, B)``: the facet rows a . x <= b scaled to
+one common right side B > 0, so that gauge(x) = max_i c_i . x / B.  Integer
+points stay integers, and a caller that only compares gauges (the successive
+minima) compares the integer numerators max_i c_i . x.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from itertools import repeat
 
 from . import hull, lattices, lp
 from .errors import (
@@ -114,10 +119,16 @@ class ConvexBody:
         return out
 
     @cached_property
-    def _support_lp(self):
-        """(v, P): int vectors v = P·a / b, P the lcm of the b numerators; h_K(u) = min Σμ, Σ μ_i v_i = P·u."""
-        P = math.lcm(*(b.numerator for _, b in self.rows))
-        return [tuple(ai * (P // b.numerator * b.denominator) for ai in a) for a, b in self.rows], P
+    def _gauge_table(self):
+        """(c, B): the facet rows a . x <= b as c_i . x <= B, B the lcm of the b numerators.
+
+        Every c_i = a_i * B / b_i is integral and B > 0, so gauge(x) =
+        max_i c_i . x / B.  For an H-rep body the c_i are also the support
+        LP's columns: h_K(u) = min Σμ subject to Σ μ_i c_i = B·u, μ >= 0.
+        """
+        rows = self.facet_rows
+        B = math.lcm(*(b.numerator for _, b in rows))
+        return [tuple(ai * (B // b.numerator * b.denominator) for ai in a) for a, b in rows], B
 
     @cached_property
     def lattice_points(self) -> tuple[tuple[int, ...], ...]:
@@ -158,42 +169,36 @@ class ConvexBody:
     # -- predicates ---------------------------------------------------------
 
     def _check_point(self, point):
+        """The point as a tuple, int entries kept and the rest made Fractions."""
         if len(point) != self.dim:
             raise DimensionMismatchError(
                 f"point has length {len(point)}, body dimension is {self.dim}"
             )
-        return frac_vec(point)
+        return tuple(x if type(x) is int else Fraction(x) for x in point)
 
     def contains(self, point) -> bool:
         """Exact closed-body membership."""
         x = self._check_point(point)
-        return all(dot(a, x) <= b for a, b in self.facet_rows)
+        return self._gauge_numerator(x) <= self._gauge_table[1]
 
     def gauge(self, point) -> Fraction:
         """Minkowski functional min{t > 0 : point in t*K}, exact."""
         x = self._check_point(point)
         if is_zero(x):
             raise ValueError("gauge of the zero vector")
-        return self._facet_gauge(x)
+        return Fraction(self._gauge_numerator(x), self._gauge_table[1])
 
-    def _facet_gauge(self, x) -> Fraction:
-        """max a . x / b over the facet rows, for a nonzero x of the right length."""
-        best = Fraction(0)
-        for a, b in self.facet_rows:
-            s = dot(a, x)
-            if s > 0:
-                g = Fraction(s) / b
-                if g > best:
-                    best = g
-        return best
+    def _gauge_numerator(self, x):
+        """max_i c_i . x over the gauge table: B times the gauge of x."""
+        return max(map(dot, self._gauge_table[0], repeat(x)))
 
     def support(self, direction) -> Fraction:
         """Support function h_K(u) = max{u . x : x in K}, exact."""
         u = self._check_point(direction)
         if self.verts is not None:
             return max(dot(u, v) for v in self.verts)
-        vectors, P = self._support_lp
-        h = lp.min_combination(vectors, tuple(P * x for x in u))
+        vectors, B = self._gauge_table
+        h = lp.min_combination(vectors, tuple(B * x for x in u))
         if h is None:
             raise UnboundedBodyError("support function is infinite")
         return h
@@ -223,14 +228,14 @@ class ConvexBody:
 
         An H-rep body returns its cached dual.  The polar of a V-rep body K
         takes K itself as its dual (K°° = K), so its volumes read K's hull;
-        K keeps no reference back.  Its bounding box comes from K's cached
-        facets, with no LP: h_{K°}(e_j) = gauge_K(e_j) = max a_j / b over
-        the facets a . x <= b.
+        K keeps no reference back.  Its bounding box comes from K's gauge
+        table, with no LP: h_{K°}(e_j) = gauge_K(e_j) = max_i c_ij / B.
         """
         if self.rows is not None:
             return self._dual
         rows = _hrep_rows(self.dim, [(v, Fraction(1)) for v in self.verts])
-        box = tuple(max(a[j] / b for a, b in self.facet_rows) for j in range(self.dim))
+        c, B = self._gauge_table
+        box = tuple(Fraction(max(col), B) for col in zip(*c))
         polar = ConvexBody(dim=self.dim, rows=rows, verts=None, bounding_box=box, name=f"polar({self.name})")
         object.__setattr__(polar, "_dual", self)
         return polar
@@ -247,23 +252,23 @@ class ConvexBody:
 
 
 def _normalize_row(a, b):
-    av = frac_vec(a)
-    bv = Fraction(b)
-    if is_zero(av):
+    """(primitive integer normal, offset) of a . x <= b; None for a zero row with b >= 0."""
+    if all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in a):
+        ai, L = tuple(x.numerator for x in a), 1
+    else:
+        av = frac_vec(a)
+        L = math.lcm(*(x.denominator for x in av))
+        ai = tuple(x.numerator * (L // x.denominator) for x in av)
+    bv = Fraction(b) * L
+    g = content(ai)
+    if g == 0:
         if bv < 0:
             raise DegenerateBodyError("row 0 <= b with b < 0: empty body")
         return None
-    L = 1
-    for x in av:
-        L = L * x.denominator // gcd(L, x.denominator)
-    ai = tuple(int(x * L) for x in av)
-    bv = bv * L
-    g = content(ai)
-    ai = tuple(x // g for x in ai)
     bv = bv / g
     if bv <= 0:
         raise DegenerateBodyError("facet offset <= 0: origin not interior")
-    return ai, bv
+    return tuple(x // g for x in ai), bv
 
 
 def _hrep_rows(dim, raw_rows, strict=False) -> tuple[HRow, ...]:

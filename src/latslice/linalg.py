@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -16,10 +17,7 @@ FracVec = tuple[Fraction, ...]
 
 def dot(u, v):
     """Inner product of two equal-length vectors (int or Fraction entries)."""
-    s = 0
-    for a, b in zip(u, v):
-        s += a * b
-    return s
+    return sum(map(mul, u, v))
 
 
 def vec_add(u, v):

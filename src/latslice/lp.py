@@ -6,7 +6,7 @@ Only the equality-form problem the geometry needs is exposed:
 
 which, applied to the polar vertices a / b, evaluates the support function
 of an H-rep body: ``ConvexBody.support`` and the bounding box that
-``from_hrep`` takes from it.  (Gauges read facet rows and need no LP.)
+``from_hrep`` takes from it.  (Gauges read the gauge table and need no LP.)
 Problems here are desk scale (tens of columns), so a dense tableau is
 plenty.
 

@@ -6,6 +6,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from operator import neg
 
 from .bodies import Volume, volume
 from .errors import ProgressionError
@@ -42,7 +43,7 @@ def _witness_key(scored):
     coordinate vectors e_1, ..., e_d rather than a diagonal.
     """
     g, p = scored
-    return (g, sum(abs(x) for x in p), tuple(-x for x in p))
+    return (g, sum(map(abs, p)), tuple(map(neg, p)))
 
 
 def successive_minima(body, lattice=None) -> SuccessiveMinima:
@@ -50,24 +51,26 @@ def successive_minima(body, lattice=None) -> SuccessiveMinima:
 
     Enumerates lattice points of R*K for doubling R until k independent
     vectors appear; R never needs to exceed the max gauge of the basis
-    columns, which already witnesses k independent vectors.
+    columns, which already witnesses k independent vectors.  Points are
+    scored by their integer gauge numerators max_i c_i . p over the body's
+    gauge table (c, B); B is common and positive, so the order is the
+    gauge order, and only the k kept minima become Fractions g / B.
     """
     lat = lattice or Lattice.standard(body.dim)
     k = lat.rank
-    r_cap = max(body._facet_gauge(col) for col in lat.basis)
+    numerator = body._gauge_numerator
+    B = body._gauge_table[1]
+    r_cap = Fraction(max(map(numerator, lat.basis)), B)
     r = min(Fraction(1), r_cap)
     while True:
         pts = enumerate_points(body, lat, scale=r)
-        scored = sorted(
-            ((body._facet_gauge(p), p) for p in pts if not is_zero(p)),
-            key=_witness_key,
-        )
+        scored = sorted(((numerator(p), p) for p in pts if any(p)), key=_witness_key)
         lambdas: list[Fraction] = []
         basis: list[tuple[int, ...]] = []
         for g, p in scored:
             if int_rank(basis + [p]) > len(basis):
                 basis.append(p)
-                lambdas.append(g)
+                lambdas.append(Fraction(g, B))
                 if len(basis) == k:
                     break
         if len(basis) == k:

@@ -111,12 +111,11 @@ def slice_profile(body, subspace) -> SliceProfile:
     """
     _check_ambient(body, subspace)
     normals = subspace.kernel_normals()
-    groups: dict[tuple, int] = {}
-    for z in body.lattice_points:
-        label = tuple(dot(n, z) for n in normals)
-        groups[label] = groups.get(label, 0) + 1
-    if not groups:
-        groups[(0,) * len(normals)] = 0
+    pts = body.lattice_points
+    if normals:
+        groups = Counter(zip(*(map(dot, itertools.repeat(n), pts) for n in normals)))
+    else:
+        groups = Counter({(): len(pts)})  # H is the whole space: one translate
     return SliceProfile(subspace=subspace, by_translate=groups)
 
 
@@ -184,36 +183,36 @@ def _spans(vectors, d, m, limit):
     insertion order are those of the m-subsets in combinations order.
     None when there are more than limit subsets.
     """
-    n = len(vectors)
-    if comb(n, m) > limit:
+    if comb(len(vectors), m) > limit:
         return None
     spans: dict[tuple, tuple] = {}
-
-    def extend(start, prefix, minors):
-        k = len(prefix)
-        forms = []
-        for t in _expansion(d, k):
-            w = [0] * d
-            for j, s, q in t:
-                w[j] = s * minors[q]
-            forms.append(w)
-        for i in range(start, n - m + k + 1):
-            v = vectors[i]
-            mu = [sum(map(mul, w, v)) for w in forms]
-            if not any(mu):
-                continue
-            combo = prefix + (v,)
-            if k + 1 < m:
-                extend(i + 1, combo, mu)
-                continue
-            key = primitive(mu)
-            if key in spans:
-                spans[key][1].update(combo)
-            else:
-                spans[key] = (combo, set(combo))
-
-    extend(0, (), (1,))
+    _extend(spans, vectors, d, m, 0, (), (1,))
     return spans
+
+
+def _extend(spans, vectors, d, m, start, prefix, minors):
+    """Add to spans every m-subset that extends prefix (with its minors) by later vectors."""
+    k = len(prefix)
+    forms = []
+    for t in _expansion(d, k):
+        w = [0] * d
+        for j, s, q in t:
+            w[j] = s * minors[q]
+        forms.append(w)
+    for i in range(start, len(vectors) - m + k + 1):
+        v = vectors[i]
+        mu = [sum(map(mul, w, v)) for w in forms]
+        if not any(mu):
+            continue
+        combo = prefix + (v,)
+        if k + 1 < m:
+            _extend(spans, vectors, d, m, i + 1, combo, mu)
+            continue
+        key = primitive(mu)
+        if key in spans:
+            spans[key][1].update(combo)
+        else:
+            spans[key] = (combo, set(combo))
 
 
 def _check_normal_bound(normal_bound):

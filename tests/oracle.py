@@ -41,6 +41,16 @@ LP: ``_Tableau``, ``simplex_min`` and ``min_combination`` (with ``LPError``)
 are the two-phase Bland-rule simplex that ``latslice.lp`` ran in ``Fraction``
 pivots before it went fraction-free; ``polar_box`` and ``hrep_box`` solve their
 support LPs with it.
+
+Gauges: ``facet_gauge``, ``gauge`` and ``contains`` score a point row by row
+in ``Fraction`` arithmetic over ``ConvexBody.facet_rows``, and
+``polar_facet_box`` divides each facet entry by its offset, as the body did
+before it read one integer gauge table.  ``successive_minima`` (with
+``_witness_key``) sorts the points by those ``Fraction`` gauges, and
+``slice_profile`` labels each point of K in a Python loop, as
+``latslice.minima`` and ``latslice.slicing`` did before they read the integer
+numerators.  ``normalize_row`` is the ``Fraction`` row normalizer that
+``from_hrep`` ran on every row before it took integral normals on ints.
 """
 
 from __future__ import annotations
@@ -50,8 +60,14 @@ from fractions import Fraction
 from math import comb, gcd
 
 from latslice import hull, lattices
-from latslice.errors import SubspaceError, UnboundedBodyError
-from latslice.lattices import LatticeSubspace
+from latslice.errors import (
+    DegenerateBodyError,
+    DimensionMismatchError,
+    SubspaceError,
+    UnboundedBodyError,
+)
+from latslice.lattices import Lattice, LatticeSubspace
+from latslice.minima import SuccessiveMinima
 from latslice.linalg import (
     dot,
     frac_vec,
@@ -64,6 +80,8 @@ from latslice.linalg import (
 from latslice.slicing import (
     CERTIFY_LIMIT,
     MaxSliceResult,
+    SliceProfile,
+    _check_ambient,
     _polar_basis,
     _primitive_vectors,
 )
@@ -738,3 +756,109 @@ def max_slice(body, m, normal_bound=None, certify_limit=CERTIFY_LIMIT) -> MaxSli
         candidates_searched=len(candidates),
         exhaustive=exhaustive,
     )
+
+
+# -- Fraction gauges, minima and translate labels ------------------------------
+
+
+def _check_point(body, point):
+    if len(point) != body.dim:
+        raise DimensionMismatchError(f"point has length {len(point)}, body dimension is {body.dim}")
+    return frac_vec(point)
+
+
+def facet_gauge(body, x) -> Fraction:
+    """max a . x / b over the facet rows, for a nonzero x of the right length."""
+    best = Fraction(0)
+    for a, b in body.facet_rows:
+        s = dot(a, x)
+        if s > 0:
+            g = Fraction(s) / b
+            if g > best:
+                best = g
+    return best
+
+
+def gauge(body, point) -> Fraction:
+    """Minkowski functional min{t > 0 : point in t*K}, exact."""
+    x = _check_point(body, point)
+    if is_zero(x):
+        raise ValueError("gauge of the zero vector")
+    return facet_gauge(body, x)
+
+
+def contains(body, point) -> bool:
+    """Exact closed-body membership."""
+    x = _check_point(body, point)
+    return all(dot(a, x) <= b for a, b in body.facet_rows)
+
+
+def polar_facet_box(body):
+    """Bounding box of a V-rep body's polar: max a_j / b over K's facets a . x <= b."""
+    return tuple(max(a[j] / b for a, b in body.facet_rows) for j in range(body.dim))
+
+
+def _witness_key(scored):
+    """Deterministic tie order: gauge, then 1-norm, then descending lex."""
+    g, p = scored
+    return (g, sum(abs(x) for x in p), tuple(-x for x in p))
+
+
+def successive_minima(body, lattice=None) -> SuccessiveMinima:
+    """Exact successive minima with a deterministic directional basis."""
+    lat = lattice or Lattice.standard(body.dim)
+    k = lat.rank
+    r_cap = max(facet_gauge(body, col) for col in lat.basis)
+    r = min(Fraction(1), r_cap)
+    while True:
+        pts = lattices.enumerate_points(body, lat, scale=r)
+        scored = sorted(
+            ((facet_gauge(body, p), p) for p in pts if not is_zero(p)),
+            key=_witness_key,
+        )
+        lambdas: list[Fraction] = []
+        basis: list[tuple[int, ...]] = []
+        for g, p in scored:
+            if int_rank(basis + [p]) > len(basis):
+                basis.append(p)
+                lambdas.append(g)
+                if len(basis) == k:
+                    break
+        if len(basis) == k:
+            return SuccessiveMinima(tuple(lambdas), tuple(basis))
+        if r >= r_cap:
+            raise AssertionError("minima enumeration failed below the guaranteed radius")
+        r = min(2 * r, r_cap)
+
+
+def slice_profile(body, subspace) -> SliceProfile:
+    """Counts of K ∩ Z^d grouped by translate of H."""
+    _check_ambient(body, subspace)
+    normals = subspace.kernel_normals()
+    groups: dict[tuple, int] = {}
+    for z in body.lattice_points:
+        label = tuple(dot(n, z) for n in normals)
+        groups[label] = groups.get(label, 0) + 1
+    if not groups:
+        groups[(0,) * len(normals)] = 0
+    return SliceProfile(subspace=subspace, by_translate=groups)
+
+
+def normalize_row(a, b):
+    av = frac_vec(a)
+    bv = Fraction(b)
+    if is_zero(av):
+        if bv < 0:
+            raise DegenerateBodyError("row 0 <= b with b < 0: empty body")
+        return None
+    L = 1
+    for x in av:
+        L = L * x.denominator // gcd(L, x.denominator)
+    ai = tuple(int(x * L) for x in av)
+    bv = bv * L
+    g = content(ai)
+    ai = tuple(x // g for x in ai)
+    bv = bv / g
+    if bv <= 0:
+        raise DegenerateBodyError("facet offset <= 0: origin not interior")
+    return ai, bv

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from math import comb
@@ -298,6 +299,20 @@ def test_max_slice_family_too_large(monkeypatch):
         max_slice(cube(4), 2)
     with pytest.raises(SubspaceError, match="candidate family too large"):
         oracle.max_slice(cube(4), 2, certify_limit=5)
+
+
+def test_max_slice_and_verify_main_leave_no_cycles():
+    # nothing they build may wait for the cyclic collector, the span table included
+    verify_main(random_symmetric_body(3, 6, points=3, spread=3), 2)  # warm the module caches
+    gc.collect()
+    gc.disable()
+    try:
+        max_slice(random_symmetric_body(3, 5, points=3, spread=3), 2)
+        assert gc.collect() == 0
+        verify_main(random_symmetric_body(3, 5, points=3, spread=3), 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("knobs", [{"normal_bound": 0}, {"normal_bound": -1}])
