@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from math import gcd
 
 from . import hull, lattices, lp
 from .errors import (
@@ -179,17 +180,26 @@ class ConvexBody:
     def contains(self, point) -> bool:
         """Exact closed-body membership."""
         x = self._check_point(point)
-        return self._gauge_numerator(x) <= self._gauge_table[1]
+        return self.gauge_numerator(x) <= self.gauge_denominator
 
     def gauge(self, point) -> Fraction:
         """Minkowski functional min{t > 0 : point in t*K}, exact."""
         x = self._check_point(point)
         if is_zero(x):
             raise ValueError("gauge of the zero vector")
-        return Fraction(self._gauge_numerator(x), self._gauge_table[1])
+        return Fraction(self.gauge_numerator(x), self.gauge_denominator)
 
-    def _gauge_numerator(self, x):
-        """max_i c_i . x over the gauge table: B times the gauge of x."""
+    @property
+    def gauge_denominator(self) -> int:
+        """B > 0 of the gauge table: gauge(x) = gauge_numerator(x) / B."""
+        return self._gauge_table[1]
+
+    def gauge_numerator(self, x) -> int:
+        """max_i c_i . x over the gauge table: B times the gauge of x.
+
+        ``x`` is not checked: it must have the body's length.  All points
+        share B, so numerators order points as their gauges do.
+        """
         return max(map(dot, self._gauge_table[0], repeat(x)))
 
     def support(self, direction) -> Fraction:
@@ -252,23 +262,23 @@ class ConvexBody:
 
 
 def _normalize_row(a, b):
-    """(primitive integer normal, offset) of a . x <= b; None for a zero row with b >= 0."""
-    if all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in a):
-        ai, L = tuple(x.numerator for x in a), 1
-    else:
-        av = frac_vec(a)
-        L = math.lcm(*(x.denominator for x in av))
-        ai = tuple(x.numerator * (L // x.denominator) for x in av)
-    bv = Fraction(b) * L
-    g = content(ai)
-    if g == 0:
+    av = frac_vec(a)
+    bv = Fraction(b)
+    if is_zero(av):
         if bv < 0:
             raise DegenerateBodyError("row 0 <= b with b < 0: empty body")
         return None
+    L = 1
+    for x in av:
+        L = L * x.denominator // gcd(L, x.denominator)
+    ai = tuple(int(x * L) for x in av)
+    bv = bv * L
+    g = content(ai)
+    ai = tuple(x // g for x in ai)
     bv = bv / g
     if bv <= 0:
         raise DegenerateBodyError("facet offset <= 0: origin not interior")
-    return tuple(x // g for x in ai), bv
+    return ai, bv
 
 
 def _hrep_rows(dim, raw_rows, strict=False) -> tuple[HRow, ...]:

@@ -556,12 +556,12 @@ def sublattice(subspace) -> Lattice:
 
 
 def dim_of_lattice_span(body, lattice=None) -> int:
-    """Rank of the set of lattice points inside the body.
-
-    The rank reads the nonzero points lazily and stops at full rank.
-    """
-    pts = body.lattice_points if _standard(body, lattice) else enumerate_points(body, lattice)
-    return int_rank(filter(any, pts))
+    """Rank of the set of lattice points inside the body."""
+    pts = enumerate_points(body, lattice)
+    pts = [p for p in pts if not is_zero(p)]
+    if not pts:
+        return 0
+    return int_rank(pts)
 
 
 def project_count(body, directions, lattice=None) -> PointCount:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -17,7 +16,10 @@ FracVec = tuple[Fraction, ...]
 
 def dot(u, v):
     """Inner product of two equal-length vectors (int or Fraction entries)."""
-    return sum(map(mul, u, v))
+    s = 0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
 
 
 def vec_add(u, v):

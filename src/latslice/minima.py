@@ -6,7 +6,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from operator import neg
 
 from .bodies import Volume, volume
 from .errors import ProgressionError
@@ -43,7 +42,7 @@ def _witness_key(scored):
     coordinate vectors e_1, ..., e_d rather than a diagonal.
     """
     g, p = scored
-    return (g, sum(map(abs, p)), tuple(map(neg, p)))
+    return (g, sum(abs(x) for x in p), tuple(-x for x in p))
 
 
 def successive_minima(body, lattice=None) -> SuccessiveMinima:
@@ -58,8 +57,8 @@ def successive_minima(body, lattice=None) -> SuccessiveMinima:
     """
     lat = lattice or Lattice.standard(body.dim)
     k = lat.rank
-    numerator = body._gauge_numerator
-    B = body._gauge_table[1]
+    numerator = body.gauge_numerator
+    B = body.gauge_denominator
     r_cap = Fraction(max(map(numerator, lat.basis)), B)
     r = min(Fraction(1), r_cap)
     while True:

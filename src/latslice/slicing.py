@@ -111,11 +111,12 @@ def slice_profile(body, subspace) -> SliceProfile:
     """
     _check_ambient(body, subspace)
     normals = subspace.kernel_normals()
-    pts = body.lattice_points
-    if normals:
-        groups = Counter(zip(*(map(dot, itertools.repeat(n), pts) for n in normals)))
-    else:
-        groups = Counter({(): len(pts)})  # H is the whole space: one translate
+    groups: dict[tuple, int] = {}
+    for z in body.lattice_points:
+        label = tuple(dot(n, z) for n in normals)
+        groups[label] = groups.get(label, 0) + 1
+    if not groups:
+        groups[(0,) * len(normals)] = 0
     return SliceProfile(subspace=subspace, by_translate=groups)
 
 

@@ -46,11 +46,8 @@ Gauges: ``facet_gauge``, ``gauge`` and ``contains`` score a point row by row
 in ``Fraction`` arithmetic over ``ConvexBody.facet_rows``, and
 ``polar_facet_box`` divides each facet entry by its offset, as the body did
 before it read one integer gauge table.  ``successive_minima`` (with
-``_witness_key``) sorts the points by those ``Fraction`` gauges, and
-``slice_profile`` labels each point of K in a Python loop, as
-``latslice.minima`` and ``latslice.slicing`` did before they read the integer
-numerators.  ``normalize_row`` is the ``Fraction`` row normalizer that
-``from_hrep`` ran on every row before it took integral normals on ints.
+``_witness_key``) sorts the points by those ``Fraction`` gauges, as
+``latslice.minima`` did before it read the integer numerators.
 """
 
 from __future__ import annotations
@@ -60,12 +57,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from latslice import hull, lattices
-from latslice.errors import (
-    DegenerateBodyError,
-    DimensionMismatchError,
-    SubspaceError,
-    UnboundedBodyError,
-)
+from latslice.errors import DimensionMismatchError, SubspaceError, UnboundedBodyError
 from latslice.lattices import Lattice, LatticeSubspace
 from latslice.minima import SuccessiveMinima
 from latslice.linalg import (
@@ -80,8 +72,6 @@ from latslice.linalg import (
 from latslice.slicing import (
     CERTIFY_LIMIT,
     MaxSliceResult,
-    SliceProfile,
-    _check_ambient,
     _polar_basis,
     _primitive_vectors,
 )
@@ -758,7 +748,7 @@ def max_slice(body, m, normal_bound=None, certify_limit=CERTIFY_LIMIT) -> MaxSli
     )
 
 
-# -- Fraction gauges, minima and translate labels ------------------------------
+# -- Fraction gauges and minima ------------------------------------------------
 
 
 def _check_point(body, point):
@@ -830,35 +820,3 @@ def successive_minima(body, lattice=None) -> SuccessiveMinima:
             raise AssertionError("minima enumeration failed below the guaranteed radius")
         r = min(2 * r, r_cap)
 
-
-def slice_profile(body, subspace) -> SliceProfile:
-    """Counts of K ∩ Z^d grouped by translate of H."""
-    _check_ambient(body, subspace)
-    normals = subspace.kernel_normals()
-    groups: dict[tuple, int] = {}
-    for z in body.lattice_points:
-        label = tuple(dot(n, z) for n in normals)
-        groups[label] = groups.get(label, 0) + 1
-    if not groups:
-        groups[(0,) * len(normals)] = 0
-    return SliceProfile(subspace=subspace, by_translate=groups)
-
-
-def normalize_row(a, b):
-    av = frac_vec(a)
-    bv = Fraction(b)
-    if is_zero(av):
-        if bv < 0:
-            raise DegenerateBodyError("row 0 <= b with b < 0: empty body")
-        return None
-    L = 1
-    for x in av:
-        L = L * x.denominator // gcd(L, x.denominator)
-    ai = tuple(int(x * L) for x in av)
-    bv = bv * L
-    g = content(ai)
-    ai = tuple(x // g for x in ai)
-    bv = bv / g
-    if bv <= 0:
-        raise DegenerateBodyError("facet offset <= 0: origin not interior")
-    return ai, bv

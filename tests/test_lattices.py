@@ -21,7 +21,6 @@ from latslice import (
     project_count,
     sublattice,
 )
-from latslice import lattices
 from latslice.linalg import det_int, dot
 
 
@@ -190,18 +189,6 @@ def test_dim_of_lattice_span():
     assert dim_of_lattice_span(cube(2)) == 2
     assert dim_of_lattice_span(box([1, Fraction(2, 5)])) == 1
     assert dim_of_lattice_span(box([Fraction(1, 2), Fraction(1, 2)])) == 0
-
-
-def test_dim_of_lattice_span_reads_the_cached_listing(monkeypatch):
-    body = cube(3).scale(4)
-    body.lattice_points
-    with monkeypatch.context() as m:
-        m.setattr(lattices, "enumerate_points", None)  # Z^d copies no listing
-        assert dim_of_lattice_span(body) == 3
-        assert dim_of_lattice_span(body, Lattice.standard(3)) == 3
-    even = Lattice(dim=2, basis=((2, 0), (0, 2)))
-    assert dim_of_lattice_span(cube(2), even) == 0
-    assert dim_of_lattice_span(cube(2).scale(2), even) == 2
 
 
 def test_enumerate_in_sublattice():
