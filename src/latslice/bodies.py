@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import gcd
 
 from . import hull, lattices, lp
 from .errors import (
@@ -261,24 +260,27 @@ class ConvexBody:
         return from_vertices(verts, name=f"{c}*{self.name}")
 
 
+def _exact(x):
+    """x itself if it is an int or a Fraction, else Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _normalize_row(a, b):
-    av = frac_vec(a)
-    bv = Fraction(b)
-    if is_zero(av):
+    """(a, b) scaled to a primitive integer a; b is divided by the same positive factor.
+
+    Integral rows stay in ints until the offset's one Fraction is built.
+    """
+    (ai,), L = scale_to_int([[_exact(x) for x in a]])
+    bv = _exact(b)
+    g = content(ai)
+    if g == 0:
         if bv < 0:
             raise DegenerateBodyError("row 0 <= b with b < 0: empty body")
         return None
-    L = 1
-    for x in av:
-        L = L * x.denominator // gcd(L, x.denominator)
-    ai = tuple(int(x * L) for x in av)
-    bv = bv * L
-    g = content(ai)
-    ai = tuple(x // g for x in ai)
-    bv = bv / g
+    bv = Fraction(bv * L, g)
     if bv <= 0:
         raise DegenerateBodyError("facet offset <= 0: origin not interior")
-    return ai, bv
+    return tuple(x // g for x in ai), bv
 
 
 def _hrep_rows(dim, raw_rows, strict=False) -> tuple[HRow, ...]:

@@ -556,12 +556,13 @@ def sublattice(subspace) -> Lattice:
 
 
 def dim_of_lattice_span(body, lattice=None) -> int:
-    """Rank of the set of lattice points inside the body."""
-    pts = enumerate_points(body, lattice)
-    pts = [p for p in pts if not is_zero(p)]
-    if not pts:
-        return 0
-    return int_rank(pts)
+    """Rank of the set of lattice points inside the body.
+
+    On Z^d the cached listing is ranked in place; the scan stops at full rank.
+    """
+    if _standard(body, lattice):
+        return int_rank(body.lattice_points)
+    return int_rank(enumerate_points(body, lattice))
 
 
 def project_count(body, directions, lattice=None) -> PointCount:

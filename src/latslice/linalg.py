@@ -79,29 +79,39 @@ def mat_vec(m, v):
     return tuple(dot(row, v) for row in m)
 
 
+def echelon_add(echelon, row) -> bool:
+    """Reduce an integer row against echelon rows; keep it if it is independent.
+
+    echelon is a list of (pivot column, primitive integer row), each row
+    zero at the pivots before it.  The row is cleared at each pivot by
+    cross-multiplication (Bareiss 1968); a nonzero remainder is divided by
+    its content and appended.  True when the row was appended.
+    """
+    for col, prow in echelon:
+        c = row[col]
+        if c:
+            p = prow[col]
+            row = [p * x - c * y for x, y in zip(row, prow)]
+    col = next((j for j, x in enumerate(row) if x), None)
+    if col is None:
+        return False
+    g = content(row)
+    echelon.append((col, [x // g for x in row]))
+    return True
+
+
 def int_rank(rows) -> int:
     """Rank of an integer (or rational) matrix via fraction-free elimination.
 
-    Each row is cleared of denominators, reduced against the echelon rows by
-    cross-multiplication (Bareiss 1968) and, if nonzero, divided by its
-    content and kept.  Entries stay integers throughout; the scan stops
-    once the rank reaches the column count.
+    Each row is cleared of denominators and passed to echelon_add; entries
+    stay integers throughout, and the scan stops once the rank reaches the
+    column count.
     """
-    echelon = []  # (pivot column, primitive integer row)
+    echelon = []
     for r in rows:
         den = lcm(*(a.denominator for a in r))
-        row = [a.numerator * (den // a.denominator) for a in r]
-        for col, prow in echelon:
-            c = row[col]
-            if c:
-                p = prow[col]
-                row = [p * x - c * y for x, y in zip(row, prow)]
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        g = content(row)
-        echelon.append((col, [x // g for x in row]))
-        if len(echelon) == len(row):
+        echelon_add(echelon, [a.numerator * (den // a.denominator) for a in r])
+        if len(echelon) == len(r):
             break
     return len(echelon)
 

@@ -10,7 +10,7 @@ from math import factorial, prod
 from .bodies import Volume, volume
 from .errors import ProgressionError
 from .lattices import Lattice, enumerate_points
-from .linalg import det_int, int_rank, is_zero
+from .linalg import det_int, echelon_add, int_rank, is_zero
 
 __all__ = [
     "SuccessiveMinima",
@@ -53,7 +53,8 @@ def successive_minima(body, lattice=None) -> SuccessiveMinima:
     columns, which already witnesses k independent vectors.  Points are
     scored by their integer gauge numerators max_i c_i . p over the body's
     gauge table (c, B); B is common and positive, so the order is the
-    gauge order, and only the k kept minima become Fractions g / B.
+    gauge order, and only the k kept minima become Fractions g / B.  The
+    kept basis stays in echelon form, so each scored point is reduced once.
     """
     lat = lattice or Lattice.standard(body.dim)
     k = lat.rank
@@ -66,8 +67,9 @@ def successive_minima(body, lattice=None) -> SuccessiveMinima:
         scored = sorted(((numerator(p), p) for p in pts if any(p)), key=_witness_key)
         lambdas: list[Fraction] = []
         basis: list[tuple[int, ...]] = []
+        echelon: list = []
         for g, p in scored:
-            if int_rank(basis + [p]) > len(basis):
+            if echelon_add(echelon, p):
                 basis.append(p)
                 lambdas.append(Fraction(g, B))
                 if len(basis) == k:

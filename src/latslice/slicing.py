@@ -8,7 +8,11 @@ The max-slice search keys every m-subset of a vector family by its
 primitive Plücker vector (its m×m minors), so subsets with the same span
 share one key.  The minors come from prefix minors: a walk over prefixes
 in index order takes one Laplace step per added vector, and a dependent
-prefix (all minors zero) is pruned with all its extensions.  K ∩ Z^d is read
+prefix (all minors zero) is pruned with all its extensions.  An m-subset
+whose vectors are all recorded members of one span already found is
+skipped before its minors are computed: m vectors of rank m inside an
+m-dimensional span S span S itself and are already S's members, so the
+skip changes no key, key order, first subset or member set.  K ∩ Z^d is read
 once into point counts per primitive direction; a span's count is the
 zero point plus the counts of the directions it contains, and the
 Hermite-form subspace is built only for the spans tied at the maximum.
@@ -111,10 +115,11 @@ def slice_profile(body, subspace) -> SliceProfile:
     """
     _check_ambient(body, subspace)
     normals = subspace.kernel_normals()
-    groups: dict[tuple, int] = {}
-    for z in body.lattice_points:
-        label = tuple(dot(n, z) for n in normals)
-        groups[label] = groups.get(label, 0) + 1
+    pts = body.lattice_points
+    if normals:
+        groups = dict(Counter(zip(*(map(dot, itertools.repeat(n), pts) for n in normals))))
+    else:
+        groups = {(): len(pts)}  # H is the whole space: one translate
     if not groups:
         groups[(0,) * len(normals)] = 0
     return SliceProfile(subspace=subspace, by_translate=groups)
@@ -180,19 +185,25 @@ def _spans(vectors, d, m, limit):
 
     A depth-m walk over prefixes in index order: a prefix's k-minors give
     the linear forms of the (k+1)-minors of each added vector (one Laplace
-    step), and a prefix whose minors all vanish is pruned.  Keys and
-    insertion order are those of the m-subsets in combinations order.
-    None when there are more than limit subsets.
+    step), and a prefix whose minors all vanish is pruned.  Each key owns
+    one bit, and masks[i] holds the bits of the keys whose members include
+    vector i; an m-subset whose masks share a bit lies in a recorded span,
+    so it is skipped before its minors are computed.  Keys, insertion order,
+    first subsets and member sets are those of every m-subset in
+    combinations order.  None when there are more than limit subsets.
     """
     if comb(len(vectors), m) > limit:
         return None
     spans: dict[tuple, tuple] = {}
-    _extend(spans, vectors, d, m, 0, (), (1,))
+    _extend(spans, {}, [0] * len(vectors), vectors, d, m, 0, (), (1,), -1)
     return spans
 
 
-def _extend(spans, vectors, d, m, start, prefix, minors):
-    """Add to spans every m-subset that extends prefix (with its minors) by later vectors."""
+def _extend(spans, bits, masks, vectors, d, m, start, prefix, minors, common):
+    """Add to spans every m-subset that extends prefix (indices, with its minors) by later vectors.
+
+    common is the AND of the prefix's masks: the recorded spans holding every prefix vector.
+    """
     k = len(prefix)
     forms = []
     for t in _expansion(d, k):
@@ -200,20 +211,33 @@ def _extend(spans, vectors, d, m, start, prefix, minors):
         for j, s, q in t:
             w[j] = s * minors[q]
         forms.append(w)
-    for i in range(start, len(vectors) - m + k + 1):
+    stop = len(vectors) - m + k + 1
+    if k + 1 < m:
+        for i in range(start, stop):
+            mu = [sum(map(mul, w, vectors[i])) for w in forms]
+            if any(mu):
+                _extend(spans, bits, masks, vectors, d, m, i + 1, prefix + (i,), mu, common & masks[i])
+        return
+    head = tuple(vectors[j] for j in prefix)
+    for i in range(start, stop):
+        if common & masks[i]:
+            continue  # all m vectors are members of one recorded span
         v = vectors[i]
         mu = [sum(map(mul, w, v)) for w in forms]
         if not any(mu):
             continue
-        combo = prefix + (v,)
-        if k + 1 < m:
-            _extend(spans, vectors, d, m, i + 1, combo, mu)
-            continue
+        combo = head + (v,)
         key = primitive(mu)
-        if key in spans:
-            spans[key][1].update(combo)
-        else:
+        bit = bits.get(key)
+        if bit is None:
+            bit = bits[key] = 1 << len(bits)
             spans[key] = (combo, set(combo))
+        else:
+            spans[key][1].update(combo)
+        masks[i] |= bit
+        common |= bit
+    for j in prefix:  # the loop reads no prefix mask, so the prefix takes its new bits at the end
+        masks[j] |= common
 
 
 def _check_normal_bound(normal_bound):

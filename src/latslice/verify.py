@@ -331,8 +331,9 @@ def verify_main(body, m, normal_bound=None, seed=None) -> SlicingReport:
             "lambda*=" + ",".join(str(x) for x in lam),
         )
     ]
+    # |v_i . z| is an integer, so it is at most lambda_i* exactly when at most its floor
     contain = all(
-        abs(dot(v, z)) <= l for v, l in zip(vs, lam) for z in points
+        abs(dot(v, z)) <= f for v, f in zip(vs, map(floor, lam)) for z in points
     )
     chain.append(ChainEntry("polar-containment", contain, "|v_i . z| <= lambda_i* on K ∩ Z^d"))
 

@@ -26,7 +26,9 @@ candidate (``_count_in_subspace``), as the library did before it keyed spans
 by their Plücker vectors.  ``_spans`` (with ``_span_key``) keys every
 m-subset by the primitive vector of its m×m minors, each a ``det_int``, as
 ``latslice.slicing._spans`` did before it walked prefixes and added one
-Laplace step per vector.
+Laplace step per vector.  ``walk_spans`` (with ``_extend``) is that prefix
+walk as it was before it skipped the m-subsets lying in a recorded span: it
+keys every rank-m m-subset.
 
 Linear algebra: ``int_rank`` (Fraction elimination) and ``det_int``
 (Bareiss at every size) are kept as they were, so the fraction-free rank
@@ -48,6 +50,13 @@ in ``Fraction`` arithmetic over ``ConvexBody.facet_rows``, and
 before it read one integer gauge table.  ``successive_minima`` (with
 ``_witness_key``) sorts the points by those ``Fraction`` gauges, as
 ``latslice.minima`` did before it read the integer numerators.
+
+Integer paths: ``normalize_row`` scales an H-rep row in ``Fraction``
+arithmetic, as ``latslice.bodies`` did before integral rows stayed in ints;
+``translate_groups`` labels K's points one at a time, as ``slice_profile``
+did before it counted all labels in one pass; ``dim_of_lattice_span`` ranks
+a copy of the nonzero points, as ``latslice.lattices`` did before it ranked
+the cached listing in place.
 """
 
 from __future__ import annotations
@@ -55,9 +64,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, gcd
+from operator import mul
 
 from latslice import hull, lattices
-from latslice.errors import DimensionMismatchError, SubspaceError, UnboundedBodyError
+from latslice.errors import (
+    DegenerateBodyError,
+    DimensionMismatchError,
+    SubspaceError,
+    UnboundedBodyError,
+)
 from latslice.lattices import Lattice, LatticeSubspace
 from latslice.minima import SuccessiveMinima
 from latslice.linalg import (
@@ -72,6 +87,7 @@ from latslice.linalg import (
 from latslice.slicing import (
     CERTIFY_LIMIT,
     MaxSliceResult,
+    _expansion,
     _polar_basis,
     _primitive_vectors,
 )
@@ -699,6 +715,47 @@ def _spans(vectors, d, m, limit):
     return spans
 
 
+def walk_spans(vectors, d, m, limit):
+    """{key: (first m-subset, union of its m-subsets)} over rank-m m-subsets.
+
+    A depth-m walk over prefixes in index order: a prefix's k-minors give
+    the linear forms of the (k+1)-minors of each added vector (one Laplace
+    step), and a prefix whose minors all vanish is pruned.  Keys and
+    insertion order are those of the m-subsets in combinations order.
+    None when there are more than limit subsets.
+    """
+    if comb(len(vectors), m) > limit:
+        return None
+    spans: dict[tuple, tuple] = {}
+    _extend(spans, vectors, d, m, 0, (), (1,))
+    return spans
+
+
+def _extend(spans, vectors, d, m, start, prefix, minors):
+    """Add to spans every m-subset that extends prefix (with its minors) by later vectors."""
+    k = len(prefix)
+    forms = []
+    for t in _expansion(d, k):
+        w = [0] * d
+        for j, s, q in t:
+            w[j] = s * minors[q]
+        forms.append(w)
+    for i in range(start, len(vectors) - m + k + 1):
+        v = vectors[i]
+        mu = [sum(map(mul, w, v)) for w in forms]
+        if not any(mu):
+            continue
+        combo = prefix + (v,)
+        if k + 1 < m:
+            _extend(spans, vectors, d, m, i + 1, combo, mu)
+            continue
+        key = primitive(mu)
+        if key in spans:
+            spans[key][1].update(combo)
+        else:
+            spans[key] = (combo, set(combo))
+
+
 def max_slice(body, m, normal_bound=None, certify_limit=CERTIFY_LIMIT) -> MaxSliceResult:
     """Maximize #(K ∩ H ∩ Z^d) over a family of m-dimensional lattice subspaces."""
     d = body.dim
@@ -820,3 +877,46 @@ def successive_minima(body, lattice=None) -> SuccessiveMinima:
             raise AssertionError("minima enumeration failed below the guaranteed radius")
         r = min(2 * r, r_cap)
 
+
+# -- Fraction rows, per-point labels, copied span rank --------------------------
+
+
+def normalize_row(a, b):
+    av = frac_vec(a)
+    bv = Fraction(b)
+    if is_zero(av):
+        if bv < 0:
+            raise DegenerateBodyError("row 0 <= b with b < 0: empty body")
+        return None
+    L = 1
+    for x in av:
+        L = L * x.denominator // gcd(L, x.denominator)
+    ai = tuple(int(x * L) for x in av)
+    bv = bv * L
+    g = content(ai)
+    ai = tuple(x // g for x in ai)
+    bv = bv / g
+    if bv <= 0:
+        raise DegenerateBodyError("facet offset <= 0: origin not interior")
+    return ai, bv
+
+
+def translate_groups(body, subspace) -> dict:
+    """Counts of K ∩ Z^d by translate label, in first-seen order."""
+    normals = subspace.kernel_normals()
+    groups: dict[tuple, int] = {}
+    for z in body.lattice_points:
+        label = tuple(dot(n, z) for n in normals)
+        groups[label] = groups.get(label, 0) + 1
+    if not groups:
+        groups[(0,) * len(normals)] = 0
+    return groups
+
+
+def dim_of_lattice_span(body, lattice=None) -> int:
+    """Rank of the set of lattice points inside the body."""
+    pts = lattices.enumerate_points(body, lattice)
+    pts = [p for p in pts if not is_zero(p)]
+    if not pts:
+        return 0
+    return int_rank(pts)

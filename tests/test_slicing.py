@@ -17,6 +17,7 @@ from latslice import (
 )
 import oracle
 from latslice import slicing
+from latslice.linalg import identity, primitive
 from latslice.slicing import (
     brunn_check,
     max_slice,
@@ -185,9 +186,9 @@ def test_max_slice_matches_per_subset_oracle(kind, d, seed, data):
 
 
 @st.composite
-def vector_families(draw):
+def vector_families(draw, max_d=5):
     """(vectors, d, m): small vectors with parallel, repeated and dependent members."""
-    d = draw(st.integers(2, 5))
+    d = draw(st.integers(2, max_d))
     m = draw(st.integers(1, d - 1))
     coord = st.integers(-3, 3)
     base = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=m + 1))
@@ -218,6 +219,59 @@ def test_spans_match_per_subset_oracle(family, limit):
     assert got == want
     if got is not None:
         assert list(got.items()) == list(want.items())
+
+
+def _assert_same_walk(vectors, d, m):
+    got = slicing._spans(vectors, d, m, slicing.CERTIFY_LIMIT)
+    want = oracle.walk_spans(vectors, d, m, slicing.CERTIFY_LIMIT)
+    # keys, key order, first subsets and member sets
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_families(max_d=4))
+def test_skipping_walk_matches_full_walk(family):
+    _assert_same_walk(*family)
+
+
+def _directions(body):
+    """The certified max-slice family: K's point directions and the coordinate vectors."""
+    d = body.dim
+    return tuple(sorted({primitive(p) for p in body.lattice_points if any(p)} | set(identity(d))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 10**6), st.booleans(), st.data())
+def test_skipping_walk_matches_full_walk_on_point_directions(d, seed, crowded, data):
+    # crowded bodies (3 generators spread 3) have many coplanar directions
+    body = random_symmetric_body(d, seed, points=3, spread=3) if crowded else random_symmetric_body(d, seed)
+    m = data.draw(st.integers(1, d - 1))
+    _assert_same_walk(_directions(body), d, m)
+
+
+@pytest.mark.parametrize(
+    # cross(3) itself has 3 directions, one plane per pair, so nothing to skip; 2 * cross(3) has 9
+    "body, keyed, keys",
+    [(cube(3), 47, 25), (cross(3).scale(2), 23, 13)],
+)
+def test_skipping_walk_keys_fewer_subsets(monkeypatch, body, keyed, keys):
+    vectors = _directions(body)
+    want = oracle.walk_spans(vectors, 3, 2, slicing.CERTIFY_LIMIT)
+    calls = []
+    original = slicing.primitive
+
+    def counted(u):
+        calls.append(u)
+        return original(u)
+
+    monkeypatch.setattr(slicing, "primitive", counted)
+    got = slicing._spans(vectors, 3, 2, slicing.CERTIFY_LIMIT)
+    assert list(got.items()) == list(want.items())
+    # every pair of distinct directions has rank 2, so the full walk keys all of them
+    assert len(calls) == keyed < comb(len(vectors), 2)
+    assert len(got) == keys
 
 
 @pytest.mark.parametrize("d, m, seeds", [(3, 1, range(6)), (3, 2, range(6)), (4, 2, range(2)), (4, 3, range(2))])
