@@ -4,16 +4,24 @@ One walk, ``_walk``, solves integer inequality rows inside an integer box
 by per-axis interval propagation: fixing the coordinates of all axes but
 the last two left to right on an explicit stack, each row yields integer
 bounds for the next coordinate from exact suffix minima over the box.  At
-each prefix it reaches, the last two axes are closed by one of two closers:
+each prefix it reaches, the last two axes form a 2-D section
+{lo <= x <= hi, L(x) <= y <= U(x)}, where U and -L are the lower envelopes
+of the slope-sorted line sets ``_lines`` builds from the rows on y and the
+box's two sides.  One of two closers reads it:
 
-- ``_runs`` lists: it loops over the penultimate axis and bounds the last
-  one at every point, yielding last-axis runs (prefix, lo, hi) in
-  ascending lexicographic order.  Listings, ``by_normal`` levels and
+- ``_runs`` lists: it yields last-axis runs (prefix, lo, hi) in ascending
+  lexicographic order.  A prefix with no more columns than bounding lines
+  scans every row at every column; a wider one walks the two envelopes
+  piece by piece, one floor division per side per column, with the line
+  sets sorted at the first wide prefix.  Listings, ``by_normal`` levels and
   ``ConvexBody.lattice_points`` read it.
-- ``count_solutions`` counts: the last two axes form a 2-D section
-  {lo <= x <= hi, L(x) <= y <= U(x)}, whose point count is summed in closed
-  form, as floor sums over the pieces on which one row bounds each side.
-  ``count_points`` and Pick's polygon count read it.
+- ``count_solutions`` counts: it puts the axes in order of box width, so the
+  walk covers the narrowest and the two widest form the sections, and sums
+  each section in closed form, as floor sums over the pieces on which one
+  line bounds each side.  ``count_points`` and Pick's polygon count read it.
+
+On a sublattice the box bounds each coordinate |y_j| through the integer
+adjugate of the Gram matrix B^T B, over one common denominator.
 
 Every system built from a body is origin-symmetric: the body is symmetric
 by construction, the lattice passes through 0 and the box is symmetric.
@@ -35,7 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, isqrt, lcm
+from operator import neg
 
 from .errors import DimensionMismatchError, SubspaceError
 from .linalg import (
@@ -274,8 +283,13 @@ def _runs(rows, box, half=False):
 
     A run (prefix, lo, hi) stands for the points prefix + (x,) with
     lo <= x <= hi, and runs come in ascending lexicographic order.  This is
-    the listing closer of ``_walk``: each walked prefix's penultimate axis is
-    looped over, bounding the last axis at every point, so no leaf is pushed.
+    the listing closer of ``_walk``: at each walked prefix it loops over the
+    penultimate axis x and bounds the last one, so no leaf is pushed.  A
+    prefix with no more columns than the section has bounding lines scans
+    every row at every column; a wider one walks the section's two
+    envelopes (``_envelopes``, shared with ``count_solutions``), one floor
+    division per side per column.  The line sets are sorted once, at the
+    first wide prefix.
 
     half=True is for origin-symmetric systems only: along the all-zero
     prefix each axis's lo is clipped at 0, so only the runs whose points
@@ -284,38 +298,60 @@ def _runs(rows, box, half=False):
     n = len(box)
     if n == 0:
         return
-    coef, tail = _tables(rows, box)
-    residuals = [b for _, b in rows]
-    if n == 1:
-        lo, hi = box[0]
-        lo, hi = _bound(0 if half and lo < 0 else lo, hi, coef[0], tail[0], residuals)
-        if lo <= hi:
+    if n == 1:  # a zero-width leading axis makes the root a section
+        for _, lo, hi in _runs([((0, *a), b) for a, b in rows], [(0, 0), *box], half):
             yield (), lo, hi
         return
+    coef, tail = _tables(rows, box)
     col, low, last = coef[n - 2], tail[n - 2], coef[n - 1]
     blo, bhi = box[n - 1]
-    for prefix, residuals, zero in _walk(box, coef, tail, residuals, half):
+    width = sum(1 for an in last if an) + 2  # the section's lines: rows on the last axis, two box sides
+    lines = None
+    for prefix, residuals, zero in _walk(box, coef, tail, [b for _, b in rows], half):
         lo, hi = box[n - 2]
         lo, hi = _bound(0 if zero and lo < 0 else lo, hi, col, low, residuals)
-        for x in range(lo, hi + 1):
-            l, h = blo, bhi
-            if zero and x == 0 and l < 0:
-                l = 0
-            for at, an, res in zip(col, last, residuals):
-                rem = res - at * x
-                if an > 0:
-                    q = rem // an
-                    if q < h:
-                        h = q
-                elif an < 0:
-                    q = -(-rem // an)
-                    if q > l:
-                        l = q
-                elif rem < 0:
-                    h = l - 1
-                    break
-            if l <= h:
-                yield prefix + (x,), l, h
+        if hi - lo < width:
+            for x in range(lo, hi + 1):
+                l, h = blo, bhi
+                if zero and x == 0 and l < 0:
+                    l = 0
+                for at, an, res in zip(col, last, residuals):
+                    rem = res - at * x
+                    if an > 0:
+                        q = rem // an
+                        if q < h:
+                            h = q
+                    elif an < 0:
+                        q = -(-rem // an)
+                        if q > l:
+                            l = q
+                    elif rem < 0:
+                        h = l - 1
+                        break
+                if l <= h:
+                    yield prefix + (x,), l, h
+            continue
+        if lines is None:
+            lines = _lines(col, last)
+        upper, lower = _envelopes(lines, residuals, blo, bhi, lo, hi)
+        i = j = 0
+        x = lo
+        while x <= hi:
+            ue, (au, mu, ru) = upper[i]
+            le, (al, ml, rl) = lower[j]
+            end = ue if ue < le else le
+            if ue == end:
+                i += 1
+            if le == end:
+                j += 1
+            for x in range(x, end + 1):
+                h = (ru - au * x) // mu
+                l = -((rl - al * x) // ml)
+                if zero and x == 0 and l < 0:
+                    l = 0
+                if l <= h:
+                    yield prefix + (x,), l, h
+            x = end + 1
 
 
 def _floor_sum(n, m, a, b):
@@ -382,16 +418,46 @@ def _envelope(lines, lo, hi):
     return pieces
 
 
-def _section(ups, lows, lo, hi):
+def _lines(col, last):
+    """The slope-sorted line sets that bound a section's last axis y.
+
+    A row with coefficients (col[i], last[i]) on the last two axes bounds y
+    from above when last[i] > 0 and -y when last[i] < 0, by the line
+    (col[i], |last[i]|, i) over the prefix's residual i; indices k and k + 1
+    (k = len(col)) stand for the box sides bhi and -blo.  Each side comes
+    sorted by a/m, as ``_envelope`` takes it.
+    """
+    k = len(col)
+    ups = [(col[i], last[i], i) for i in range(k) if last[i] > 0] + [(0, 1, k)]
+    lows = [(col[i], -last[i], i) for i in range(k) if last[i] < 0] + [(0, 1, k + 1)]
+    for side in ups, lows:
+        side.sort(key=lambda line: Fraction(line[0], line[1]))
+    return ups, lows
+
+
+def _envelopes(lines, residuals, blo, bhi, lo, hi):
+    """Pieces of U and -L on [lo, hi] for one prefix's residuals.
+
+    U(x) = min over the upper lines of (r - a*x) / m and -L(x) the same over
+    the lower ones, so column x holds the y with ceil(L(x)) <= y <= floor(U(x)).
+    """
+    res = residuals + [bhi, -blo]
+    ups, lows = lines
+    return (
+        _envelope([(a, m, res[i]) for a, m, i in ups], lo, hi),
+        _envelope([(a, m, res[i]) for a, m, i in lows], lo, hi),
+    )
+
+
+def _section(upper, lower, lo, hi):
     """Integer points of {lo <= x <= hi, L(x) <= y <= U(x)}, in closed form.
 
-    U(x) = min over ups of (r - a*x) / m and -L(x) = min over lows of the
-    same, so a column holds floor(U) + floor(-L) + 1 points where U >= L.
-    On each piece with one line of each side least, U - L is linear: the
-    piece is clipped to U >= L and its columns are two floor sums.
+    upper and lower are the envelope pieces of U and -L, so a column holds
+    floor(U) + floor(-L) + 1 points where U >= L.  On each piece with one
+    line of each side least, U - L is linear: the piece is clipped to U >= L
+    and its columns are two floor sums.
     """
     total = 0
-    upper, lower = _envelope(ups, lo, hi), _envelope(lows, lo, hi)
     i = j = 0
     x = lo
     while x <= hi:
@@ -420,34 +486,33 @@ def _section(ups, lows, lo, hi):
 def count_solutions(rows, box, half=False) -> int:
     """Number of integer solutions of rows inside box, with no point listed.
 
-    The section closer of ``_walk``: at each walked prefix the last two
-    axes form a 2-D section, counted by ``_section``.  Rows free of the last
-    axis bound only the penultimate one and are applied there; the last
-    axis's box bounds join the rows of each side.  half=True is for
-    origin-symmetric systems only: the section at a prefix -p mirrors the one
-    at p, so the count is twice the sections at prefixes >lex 0 plus the
-    zero-prefix section, which is symmetric itself.
+    The section closer of ``_walk``: the axes are first put in order of box
+    width, a permutation that leaves the count unchanged, so the walk covers
+    the narrowest axes and the two widest form a 2-D section at each walked
+    prefix, counted by ``_section`` over the ``_lines`` envelopes.  Rows
+    free of the last axis bound only the penultimate one and are applied
+    there.  half=True is for origin-symmetric systems only: the section at a
+    prefix -p mirrors the one at p, so the count is twice the sections at
+    prefixes >lex 0 plus the zero-prefix section, which is symmetric itself.
     """
     n = len(box)
     if n == 0:
         return 0
     if n == 1:  # a zero-width leading axis makes the root a section
         rows, box, n = [((0, *a), b) for a, b in rows], [(0, 0), *box], 2
+    order = sorted(range(n), key=lambda t: box[t][1] - box[t][0])
+    rows = [(tuple(a[t] for t in order), b) for a, b in rows]
+    box = [box[t] for t in order]
     coef, tail = _tables(rows, box)
-    col, low, last = coef[n - 2], tail[n - 2], coef[n - 1]
+    col, low = coef[n - 2], tail[n - 2]
     blo, bhi = box[n - 1]
-    k = len(rows)
-    ups = [(col[i], last[i], i) for i in range(k) if last[i] > 0] + [(0, 1, k)]
-    lows = [(col[i], -last[i], i) for i in range(k) if last[i] < 0] + [(0, 1, k + 1)]
-    for side in ups, lows:
-        side.sort(key=lambda line: Fraction(line[0], line[1]))  # by a/m, as _envelope takes them
+    lines = _lines(col, coef[n - 1])
     total = 0
     for _, residuals, zero in _walk(box, coef, tail, [b for _, b in rows], half):
         lo, hi = _bound(*box[n - 2], col, low, residuals)
         if lo > hi:
             continue
-        res = residuals + [bhi, -blo]
-        count = _section([(a, m, res[i]) for a, m, i in ups], [(a, m, res[i]) for a, m, i in lows], lo, hi)
+        count = _section(*_envelopes(lines, residuals, blo, bhi, lo, hi), lo, hi)
         total += count if zero or not half else 2 * count
     return total
 
@@ -469,42 +534,57 @@ def _system(body, lattice, scale):
     """Integer rows and box of scale*body in lattice coordinates y (points B y).
 
     Starts from body.int_rows; lattice None stands for Z^d, where the box
-    is the scaled bounding box.
+    is the scaled bounding box.  On a sublattice y = P x with the
+    pseudoinverse P = (B^T B)^-1 B^T = adj(B^T B) B^T / det(B^T B), so
+    |y_j| <= sum_t |P_jt| r_t over the radii r_t of the scaled bounding box:
+    the sum is taken in ints over the radii's common denominator and closed
+    by one floor division.
     """
     scale = Fraction(scale)
     if scale <= 0:
         raise ValueError("scale factor must be positive")
     p, q = scale.numerator, scale.denominator
+    radii = [r * scale for r in body.bounding_box]
     if lattice is None:
         rows = [(tuple(x * q for x in a), b * p) for a, b in body.int_rows]
-        return rows, _int_box(r * scale for r in body.bounding_box)
+        return rows, _int_box(radii)
     basis = lattice.basis
     rows = [(tuple(dot(a, col) * q for col in basis), b * p) for a, b in body.int_rows]
-    # |y_j| bound via the exact pseudoinverse: y = (B^T B)^-1 B^T x
-    k = lattice.rank
-    gram = [tuple(dot(basis[i], basis[j]) for j in range(k)) for i in range(k)]
-    bounds = []
-    for j in range(k):
-        rhs = tuple(1 if i == j else 0 for i in range(k))
-        col = solve_rational(gram, rhs)  # column j of (B^T B)^-1
-        # row j of the pseudoinverse: sum_i col_i * (B^T)_i
-        prow = [sum(col[i] * basis[i][t] for i in range(k)) for t in range(lattice.dim)]
-        bounds.append(sum(abs(c) * r * scale for c, r in zip(prow, body.bounding_box)))
-    return rows, _int_box(bounds)
+    gram = [[dot(u, v) for v in basis] for u in basis]
+    den = lcm(*(r.denominator for r in radii))
+    ints = [r.numerator * (den // r.denominator) for r in radii]
+    den *= det_int(gram)
+    k = len(basis)
+    box = []
+    for i in range(k):
+        # row i of adj(B^T B), which is symmetric: the signed minors without row i
+        minors = [[g[:j] + g[j + 1 :] for s, g in enumerate(gram) if s != i] for j in range(k)]
+        adj = [(-1) ** (i + j) * det_int(m) for j, m in enumerate(minors)]
+        bound = sum(abs(sum(c * col[t] for c, col in zip(adj, basis))) * r for t, r in enumerate(ints)) // den
+        box.append((-bound, bound))
+    return rows, box
 
 
 def _listing(body, lattice=None, scale=1):
     """Uncached points of scale*body ∩ lattice in lattice coordinates, lex order.
 
     Built from the half walk: the mirrored runs (-p, -hi, -lo) in reverse
-    order, the zero run over [-hi0, hi0], then the half runs.
+    order, the zero run over [-hi0, hi0], then the half runs.  Each run
+    extends the list in one call, prefix + (x,) over a slice of one shared
+    list of 1-tuples (x,) that spans the last axis's box.
     """
-    runs = list(_runs(*_system(body, lattice, scale), half=True))
+    rows, box = _system(body, lattice, scale)
+    runs = list(_runs(rows, box, half=True))
+    base, top = box[-1]
+    ones = [(x,) for x in range(base, top + 1)]
+    out = []
+    for prefix, lo, hi in runs[:0:-1]:
+        out.extend(map(tuple(map(neg, prefix)).__add__, ones[-hi - base : -lo - base + 1]))
     zero, _, hi0 = runs[0]
-    rest = runs[1:]
-    mirrored = [(tuple(-c for c in p), -hi, -lo) for p, lo, hi in reversed(rest)]
-    full = mirrored + [(zero, -hi0, hi0)] + rest
-    return [prefix + (x,) for prefix, lo, hi in full for x in range(lo, hi + 1)]
+    out.extend(map(zero.__add__, ones[-hi0 - base : hi0 - base + 1]))
+    for prefix, lo, hi in runs[1:]:
+        out.extend(map(prefix.__add__, ones[lo - base : hi - base + 1]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -528,8 +608,9 @@ def enumerate_points(body, lattice=None, scale=Fraction(1)):
 def count_points(body, lattice=None, by_normal=None, scale=Fraction(1)) -> PointCount:
     """Cardinality of body ∩ lattice, optionally leveled by an integer form.
 
-    The total sums the 2-D sections of the half walk in closed form; a
-    leveled count walks the half runs one point at a time, each half point
+    The total sums the 2-D sections of the half walk in closed form, the
+    walk covering the narrowest box axes; a leveled count walks the half
+    runs in their lex order one point at a time, each half point
     adding its level l and its mirror's -l.  The point set is never listed.
     """
     lat = None if _standard(body, lattice) else lattice

@@ -13,9 +13,11 @@ whose vectors are all recorded members of one span already found is
 skipped before its minors are computed: m vectors of rank m inside an
 m-dimensional span S span S itself and are already S's members, so the
 skip changes no key, key order, first subset or member set.  K ∩ Z^d is read
-once into point counts per primitive direction; a span's count is the
-zero point plus the counts of the directions it contains, and the
-Hermite-form subspace is built only for the spans tied at the maximum.
+once into point counts per primitive direction, from its points >lex 0
+(the listing is sorted and symmetric, and p and -p share a direction); a
+span's count is the zero point plus the counts of the directions it
+contains, and the Hermite-form subspace is built only for the spans tied
+at the maximum.
 The search is exhaustive-certified only when the family "spans of
 m-subsets of lattice points of K (plus coordinate vectors)" has at most
 CERTIFY_LIMIT subsets, since an optimizer can always be rebuilt from the
@@ -270,8 +272,10 @@ def max_slice(body, m, normal_bound=None) -> MaxSliceResult:
     if not 1 <= m <= d - 1:
         raise SubspaceError(f"slice dimension must be in [1, {d - 1}]")
     points = body.lattice_points
-    mult = Counter(primitive(p) for p in points if not is_zero(p))  # points per direction
-    zero = len(points) - sum(mult.values())
+    # points per direction: p and -p share one, so the points >lex 0 of the sorted listing count twice
+    half = Counter(map(primitive, points[len(points) // 2 + 1 :]))
+    mult = Counter({v: 2 * n for v, n in half.items()})
+    zero = 1
 
     spanning = tuple(sorted(set(mult) | set(identity(d))))
     spans = _spans(spanning, d, m, CERTIFY_LIMIT)

@@ -10,7 +10,12 @@ points without the ``by_normal`` option.  ``run_count_points`` and
 ``count_runs`` are the run-summing counts that ``latslice.lattices`` used
 before it closed each 2-D section in closed form: they sum the last-axis run
 lengths of ``lattices._runs`` (``2·Σ(hi − lo + 1) − 1`` over the symmetric
-half walk, the plain sum over the full walk).
+half walk, the plain sum over the full walk).  ``scan_runs`` is the listing
+closer as it was before it read the counting envelopes: it bounds the last
+axis by scanning every row at every penultimate-axis column.
+``fraction_system`` is ``lattices._system`` as it was before its sublattice
+box went integral: it bounds each ``|y_j|`` through ``solve_rational``
+columns of the inverse Gram matrix.
 
 Volumes: ``hull_volume`` (the fan that re-hulls every facet projection),
 ``hull_vertex_indices``, ``rational_hull_volume`` and ``polar_volume`` (the
@@ -73,7 +78,7 @@ from latslice.errors import (
     SubspaceError,
     UnboundedBodyError,
 )
-from latslice.lattices import Lattice, LatticeSubspace
+from latslice.lattices import Lattice, LatticeSubspace, _bound, _tables, _walk
 from latslice.minima import SuccessiveMinima
 from latslice.linalg import (
     dot,
@@ -81,6 +86,7 @@ from latslice.linalg import (
     identity,
     is_zero,
     scale_to_int,
+    solve_rational,
     vec_neg,
     vec_sub,
 )
@@ -474,6 +480,83 @@ def run_count_points(body, lattice=None, scale=Fraction(1)) -> int:
 def count_runs(rows, box) -> int:
     """Number of integer solutions of rows inside box, with no point listed."""
     return sum(hi - lo + 1 for _, lo, hi in lattices._runs(rows, box))
+
+
+def scan_runs(rows, box, half=False):
+    """Yield the integer solutions of rows inside box as last-axis runs.
+
+    A run (prefix, lo, hi) stands for the points prefix + (x,) with
+    lo <= x <= hi, and runs come in ascending lexicographic order.  This is
+    the listing closer of ``_walk``: each walked prefix's penultimate axis is
+    looped over, bounding the last axis at every point, so no leaf is pushed.
+
+    half=True is for origin-symmetric systems only: along the all-zero
+    prefix each axis's lo is clipped at 0, so only the runs whose points
+    are >=lex 0 come out, and the first is the zero run ((0, ..., 0), 0, hi0).
+    """
+    n = len(box)
+    if n == 0:
+        return
+    coef, tail = _tables(rows, box)
+    residuals = [b for _, b in rows]
+    if n == 1:
+        lo, hi = box[0]
+        lo, hi = _bound(0 if half and lo < 0 else lo, hi, coef[0], tail[0], residuals)
+        if lo <= hi:
+            yield (), lo, hi
+        return
+    col, low, last = coef[n - 2], tail[n - 2], coef[n - 1]
+    blo, bhi = box[n - 1]
+    for prefix, residuals, zero in _walk(box, coef, tail, residuals, half):
+        lo, hi = box[n - 2]
+        lo, hi = _bound(0 if zero and lo < 0 else lo, hi, col, low, residuals)
+        for x in range(lo, hi + 1):
+            l, h = blo, bhi
+            if zero and x == 0 and l < 0:
+                l = 0
+            for at, an, res in zip(col, last, residuals):
+                rem = res - at * x
+                if an > 0:
+                    q = rem // an
+                    if q < h:
+                        h = q
+                elif an < 0:
+                    q = -(-rem // an)
+                    if q > l:
+                        l = q
+                elif rem < 0:
+                    h = l - 1
+                    break
+            if l <= h:
+                yield prefix + (x,), l, h
+
+
+def fraction_system(body, lattice, scale):
+    """Integer rows and box of scale*body in lattice coordinates y (points B y).
+
+    Starts from body.int_rows; lattice None stands for Z^d, where the box
+    is the scaled bounding box.
+    """
+    scale = Fraction(scale)
+    if scale <= 0:
+        raise ValueError("scale factor must be positive")
+    p, q = scale.numerator, scale.denominator
+    if lattice is None:
+        rows = [(tuple(x * q for x in a), b * p) for a, b in body.int_rows]
+        return rows, lattices._int_box(r * scale for r in body.bounding_box)
+    basis = lattice.basis
+    rows = [(tuple(dot(a, col) * q for col in basis), b * p) for a, b in body.int_rows]
+    # |y_j| bound via the exact pseudoinverse: y = (B^T B)^-1 B^T x
+    k = lattice.rank
+    gram = [tuple(dot(basis[i], basis[j]) for j in range(k)) for i in range(k)]
+    bounds = []
+    for j in range(k):
+        rhs = tuple(1 if i == j else 0 for i in range(k))
+        col = solve_rational(gram, rhs)  # column j of (B^T B)^-1
+        # row j of the pseudoinverse: sum_i col_i * (B^T)_i
+        prow = [sum(col[i] * basis[i][t] for i in range(k)) for t in range(lattice.dim)]
+        bounds.append(sum(abs(c) * r * scale for c, r in zip(prow, body.bounding_box)))
+    return rows, lattices._int_box(bounds)
 
 
 def _polygon_rows(hull_pts):

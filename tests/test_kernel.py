@@ -4,7 +4,7 @@ import gc
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import floor
+from math import floor, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +22,7 @@ from latslice import (
     sublattice,
     volume,
 )
-from latslice import lattices
+from latslice import bodies, lattices
 from latslice.linalg import dot
 from latslice.verify import (
     pick_quantities,
@@ -110,6 +110,61 @@ def test_half_walk_matches_full_walk_and_oracle(case):
         assert expected == [(0,) * body.dim]
 
 
+# -- the listing closer and the sublattice box against their oracles --------------
+
+MAKERS = {**GENERATORS, "cube": lambda d, seed: cube(d), "cross": lambda d, seed: cross(d)}
+# at most this many penultimate-axis columns in the box, so the row-scan oracle stays quick
+COLUMNS = 200_000
+
+
+@st.composite
+def closer_cases(draw):
+    d = draw(st.integers(1, 4))
+    body = MAKERS[draw(st.sampled_from(sorted(MAKERS)))](d, draw(st.integers(0, 10**6)))
+    lattice = None
+    if d >= 2 and draw(st.booleans()):
+        lattice = sublattice(LatticeSubspace.from_normal(draw(
+            st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+        )))
+    scales = []
+    for scale in (Fraction(1), Fraction(5, 2), Fraction(12), Fraction(63, 2)):
+        _, box = oracle.fraction_system(body, lattice, scale)
+        if scale == 1 or prod(hi - lo + 1 for lo, hi in box[:-1]) <= COLUMNS:
+            scales.append(scale)
+    return body, lattice, draw(st.sampled_from(scales)), draw(st.booleans())
+
+
+def test_runs_match_row_scan_oracle(monkeypatch):
+    prefixes, envelopes = [], []
+    walk, envelope = lattices._walk, lattices._envelope
+
+    def counted_walk(*args):
+        for node in walk(*args):
+            prefixes.append(node[0])
+            yield node
+
+    def counted_envelope(*args):
+        envelopes.append(args)
+        return envelope(*args)
+
+    monkeypatch.setattr(lattices, "_walk", counted_walk)
+    monkeypatch.setattr(lattices, "_envelope", counted_envelope)
+
+    @settings(max_examples=100, deadline=None)
+    @given(closer_cases())
+    def check(case):
+        body, lat, scale, half = case
+        rows, box = lattices._system(body, lat, scale)
+        assert (rows, box) == oracle.fraction_system(body, lat, scale)
+        assert list(lattices._runs(rows, box, half)) == list(oracle.scan_runs(rows, box, half))
+
+    check()
+    # each wide prefix takes two envelopes; the oracle walks with its own _walk
+    wide = len(envelopes) // 2
+    narrow = len(prefixes) - wide
+    assert wide > 0 and narrow > 0
+
+
 # -- closed-form section counting -------------------------------------------------
 
 
@@ -139,6 +194,23 @@ def test_cube3_diagonal_plane_count_closed_form(r):
     f = floor(r)
     lat = sublattice(LatticeSubspace.from_normal((1, 1, 1)))
     assert count_points(cube(3), lat, scale=r).total == 3 * f * f + 3 * f + 1
+
+
+def test_count_walks_the_narrowest_axis(monkeypatch):
+    sections = []
+    section = lattices._section
+
+    def counted(*args):
+        sections.append(args)
+        return section(*args)
+
+    monkeypatch.setattr(lattices, "_section", counted)
+    body = bodies.box([3, Fraction(1, 2), 2])
+    assert count_points(body, scale=40).total == 241 * 41 * 161
+    # the half walk covers x_2 in [0, 20], not x_1 in [0, 120]
+    assert len(sections) == 21
+    lat = sublattice(LatticeSubspace.from_normal((1, 2, -1)))
+    assert count_points(body, lat, scale=40).total == len(oracle.enumerate_points(body, lat, 40))
 
 
 @pytest.mark.parametrize("make", [lambda: cube(1), lambda: cube(3), lambda: cross(4),

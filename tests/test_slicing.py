@@ -304,6 +304,22 @@ def test_max_slice_builds_subspaces_only_for_ties(monkeypatch):
     assert len(built) == 9
 
 
+def test_max_slice_normalizes_each_direction_once(monkeypatch):
+    lengths = []
+    original = slicing.primitive
+
+    def counted(u):
+        lengths.append(len(u))
+        return original(u)
+
+    monkeypatch.setattr(slicing, "primitive", counted)
+    body = cube(4)
+    res = max_slice(body, 2)
+    assert res.exhaustive and res.best_count == 9
+    # one call per point >lex 0; the walk's keys are the 6 minors of a pair
+    assert lengths.count(4) == len(body.lattice_points) // 2 == 40
+
+
 @pytest.mark.parametrize(
     "body, strategy",
     # strategy: (normal_bound, CERTIFY_LIMIT), or None for the defaults
