@@ -447,7 +447,7 @@ def body_from_spec(spec, strict=False) -> ConvexBody:
         return box(radii)
     try:
         with open(text) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=Fraction)  # 0.1 is 1/10, not a binary double
     except OSError as exc:
         raise BodyFormatError(f"unknown body {text!r} (not a built-in, cannot open as file)") from exc
     except json.JSONDecodeError as exc:

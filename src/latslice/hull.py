@@ -3,7 +3,9 @@
 Facet enumeration is brute force over d-subsets with a membership skip
 (subsets lying inside an already-found facet are never re-solved), which
 is plenty at desk scale and trivially exact.  Dimension 2 short-circuits
-to a monotone-chain scan.
+to a monotone-chain scan.  Each subset's plane comes from
+``linalg.hyperplane_through``: closed form for d <= 3 (one edge cross
+product per 3-D subset), homogeneous cofactor minors above.
 
 A volume runs the hull once: ``face_volume`` triangulates from the
 facet–point incidence alone, and the transposed incidence gives the polar's.

@@ -41,6 +41,9 @@ and the closed-form small minors in ``latslice.linalg`` can be compared with
 them; the old hull and max-slice code here uses this ``int_rank``.
 ``content`` and ``primitive`` are the gcd loop that ``latslice.linalg``
 ran before it called ``math.gcd`` on all entries at once.
+``hyperplane_through`` takes d + 1 signed cofactor minors at every d, as
+``latslice.linalg`` did before it gave planes in R^2 and R^3 closed forms;
+here its minors run through this module's ``det_int`` and ``primitive``.
 ``polar_box`` is the polar's bounding box as ``from_hrep`` finds it, one
 support LP per axis, against which ``ConvexBody.polar``'s facet box is checked.
 
@@ -173,6 +176,28 @@ def det_int(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def hyperplane_through(points):
+    """Primitive integer (a, b) with a . p = b for all points, or None.
+
+    Points must be integer vectors; None when they are affinely dependent.
+    Computed as the generalized cross product (signed cofactor minors) of
+    the d x (d+1) system rows (p_i, -1), which is the kernel generator
+    when the points affinely span.
+    """
+    rows = [tuple(p) + (-1,) for p in points]
+    n = len(rows[0])
+    v = []
+    sign = 1
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows]
+        v.append(sign * det_int(minor))
+        sign = -sign
+    if all(x == 0 for x in v):
+        return None
+    v = primitive(tuple(v))
+    return v[:-1], v[-1]
 
 
 def polar_box(body):

@@ -352,6 +352,14 @@ def test_malformed_body_file_exit1(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+def test_body_file_float_literals_are_exact(tmp_path, capsys):
+    path = tmp_path / "body.json"
+    path.write_text('{"dim": 2.0, "vrep": [[0.1, 0], [0, 1]]}')
+    code, out, _ = run(capsys, "volume", "--body", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["volume"] == "1/5"
+
+
 def test_env_cap_not_an_integer_exit1(capsys, monkeypatch):
     monkeypatch.setenv("LATSLICE_EXACT_DIM_CAP", "abc")
     code, out, err = run(capsys, "volume", "--body", "cube:2")

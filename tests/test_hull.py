@@ -6,8 +6,11 @@ from math import factorial
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from latslice import hull
+from latslice.bodies import cross
 from latslice.hull import graham_hull, hull_facets, hull_volume, maximal_masks
 from latslice.linalg import dot
+from latslice.verify import random_symmetric_body
 
 
 def shoelace(poly):
@@ -51,6 +54,24 @@ def test_facets_of_cube_3d():
     assert len(facets) == 6
     for f in facets:
         assert len(f.active) == 4  # non-simplicial facets found once
+
+
+def test_facet_lists_match_cofactor_planes(monkeypatch):
+    """Closed-form 3-D planes give the same facets, actives and order as cofactor minors.
+
+    Order matters: a later subset is skipped when it lies inside a facet
+    found before it.
+    """
+    cases = [random_symmetric_body(3, s)._vrep_scaled[0] for s in range(30)]
+    cases.append([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    cases.append(cross(3)._vrep_scaled[0])
+    cases.append([(x, y, z) for x in range(-2, 3) for y in (-1, 0, 1) for z in (-1, 0, 1)])
+    for pts in cases:
+        got = hull_facets(pts, 3)
+        with monkeypatch.context() as m:
+            m.setattr(hull, "hyperplane_through", oracle.hyperplane_through)
+            assert got == hull_facets(pts, 3)
+        assert got
 
 
 def test_maximal_masks_keep_vertices_only():

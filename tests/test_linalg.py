@@ -187,6 +187,38 @@ def test_hyperplane_through_degenerate():
     assert linalg.hyperplane_through([(1, 1, 1), (2, 2, 2), (3, 3, 3)]) is None
 
 
+@st.composite
+def plane_points(draw):
+    """d small-int points in R^d, d = 2, 3, 4, and whether they are affinely dependent.
+
+    A dependent set replaces its last point by the first plus an integer
+    combination of up to two edges from it: a repeated point, a third point on
+    a line through two, or a fourth in the plane of three.
+    """
+    d = draw(st.sampled_from((2, 3, 4)))
+    pts = [tuple(draw(st.lists(small_int, min_size=d, max_size=d))) for _ in range(d)]
+    edges = draw(st.integers(min_value=-1, max_value=min(d - 2, 2)))
+    if edges >= 0:
+        p = pts[0]
+        coeffs = [draw(st.integers(min_value=-2, max_value=2)) for _ in range(edges)]
+        pts[-1] = tuple(p[j] + sum(c * (pts[i + 1][j] - p[j]) for i, c in enumerate(coeffs)) for j in range(d))
+    return pts, edges >= 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(plane_points())
+@example(([(3, -1), (3, -1)], True))
+@example(([(0, 0, 0), (1, 2, 3), (-2, -4, -6)], True))
+@example(([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (2, -1, 0, 0)], True))
+@example(([(2, 0, 0), (0, 4, 0), (0, 0, 6)], False))
+def test_hyperplane_through_matches_cofactor_oracle(case):
+    pts, dependent = case
+    hp = linalg.hyperplane_through(pts)
+    assert hp == oracle.hyperplane_through(pts)
+    if dependent:
+        assert hp is None
+
+
 def test_primitive_and_content():
     assert linalg.primitive((4, -6)) == (2, -3)
     assert linalg.primitive((-4, 6)) == (2, -3)
