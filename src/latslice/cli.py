@@ -260,8 +260,24 @@ def _report_lines(report):
     return lines
 
 
+def _check_chain_flags(args, d):
+    """Reject the --m and --normal-bound values that the dim2 and unconditional chains ignore.
+
+    The unconditional chain checks m = d - 1 and takes no normal bound; the
+    dim2 chain checks m = 1.
+    """
+    if args.kind == "main":
+        return
+    m = d - 1 if args.kind == "unconditional" else 1
+    if args.m is not None and args.m != m:
+        raise LatsliceError(f"the {args.kind} chain checks m = {m}, not --m {args.m}")
+    if args.kind == "unconditional" and getattr(args, "normal_bound", None) is not None:
+        raise LatsliceError("the unconditional chain takes no --normal-bound")
+
+
 def _cmd_verify(args):
     body = body_from_spec(args.body)
+    _check_chain_flags(args, body.dim)
     if args.kind == "dim2":
         report = verify_dim2(body, normal_bound=args.normal_bound)
     elif args.kind == "unconditional":
@@ -302,6 +318,7 @@ def _cmd_scan(args):
         raise LatsliceError("the random-rational generator is 2-dimensional only: use random-rational:2")
     if args.kind == "dim2" and d != 2:
         raise LatsliceError("dim2 scan needs a 2-dimensional generator")
+    _check_chain_flags(args, d)
     if args.trials < 0:
         raise LatsliceError("scan --trials must be non-negative")
     if args.jobs < 1:

@@ -3,9 +3,11 @@
 Facet enumeration is brute force over d-subsets with a membership skip
 (subsets lying inside an already-found facet are never re-solved), which
 is plenty at desk scale and trivially exact.  Dimension 2 short-circuits
-to a monotone-chain scan.  Each subset's plane comes from
-``linalg.hyperplane_through``: closed form for d <= 3 (one edge cross
-product per 3-D subset), homogeneous cofactor minors above.
+to a monotone-chain scan.  Above, one loop walks the (d-1)-point
+prefixes and closes each with every later point.  In 3-D a prefix is one
+edge, and each closing point's plane (the edge cross product) and side
+test run in line on ints; for d >= 4 each subset's plane comes from
+``linalg.hyperplane_through``'s homogeneous cofactor minors.
 
 A volume runs the hull once: ``face_volume`` triangulates from the
 facet–point incidence alone, and the transposed incidence gives the polar's.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd
 
 from .errors import LatsliceError
 from .linalg import det_int, dot, hyperplane_through, vec_sub
@@ -81,6 +83,19 @@ def _facets_2d(pts):
 def hull_facets(pts, dim):
     """All facets of conv(pts) for an integer point set spanning dimension dim.
 
+    For dim >= 3 one loop walks the (dim-1)-point prefixes in
+    ``itertools.combinations`` order and closes each with every later
+    point, so the subsets come in the same order as
+    ``combinations(range(n), dim)``.  A prefix ANDs its points' facet
+    masks once (again after each facet it finds), and a last point
+    sharing a bit with that mask is skipped: the subset lies inside a
+    facet already found.  At dim = 3 the prefix (i, j) takes its edge
+    u = p_j - p_i once, and each k gives the plane a = u x (p_k - p_i),
+    b = a . p_i, and the side test runs on ints in line.  Above, each
+    subset's plane is ``hyperplane_through``'s.  The side test stops at
+    the first point past the plane on each side; a plane that passes it
+    is divided by its gcd and turned so that a . p <= b on every point.
+
     Input not affinely spanning R^dim yields [] (no full-dimensional facets).
     More than SUBSET_GUARD d-subsets raise HullSizeError.
     """
@@ -97,44 +112,80 @@ def hull_facets(pts, dim):
     if dim == 2:
         return _facets_2d(pts)
     n = len(pts)
-    total = 1
-    for i in range(dim):
-        total = total * (n - i) // (i + 1)
+    total = comb(n, dim)
     if total > SUBSET_GUARD:
         raise HullSizeError(f"facet enumeration over {total} subsets exceeds guard {SUBSET_GUARD}")
     facet_bits = [0] * n
     facets = []
-    for comb in itertools.combinations(range(n), dim):
-        mask = facet_bits[comb[0]]
-        for i in comb[1:]:
-            mask &= facet_bits[i]
-            if not mask:
-                break
-        if mask:
-            continue
-        hp = hyperplane_through([pts[i] for i in comb])
-        if hp is None:
-            continue
-        a, b = hp
-        pos = neg = False
-        for p in pts:
-            s = dot(a, p) - b
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
-            if pos and neg:
-                break
-        if pos and neg:
-            continue
-        if pos:
-            a, b = tuple(-x for x in a), -b
-        active = tuple(i for i, p in enumerate(pts) if dot(a, p) == b)
-        fid = 1 << len(facets)
-        for i in active:
-            facet_bits[i] |= fid
-        facets.append(Facet(a, b, active))
+    for prefix in itertools.combinations(range(n - 1), dim - 1):
+        mask = _meet(facet_bits, prefix)
+        if dim == 3:
+            x0, y0, z0 = pts[prefix[0]]
+            x1, y1, z1 = pts[prefix[1]]
+            u0, u1, u2 = x1 - x0, y1 - y0, z1 - z0
+        else:
+            base = [pts[i] for i in prefix]
+        for k in range(prefix[-1] + 1, n):
+            if mask & facet_bits[k]:
+                continue
+            pos = neg = False
+            if dim == 3:
+                x, y, z = pts[k]
+                v0, v1, v2 = x - x0, y - y0, z - z0
+                a = a0, a1, a2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+                if not (a0 or a1 or a2):
+                    continue
+                b = a0 * x0 + a1 * y0 + a2 * z0
+                for x, y, z in pts:
+                    s = a0 * x + a1 * y + a2 * z
+                    if s > b:
+                        pos = True
+                        if neg:
+                            break
+                    elif s < b:
+                        neg = True
+                        if pos:
+                            break
+                if pos and neg:
+                    continue
+                active = [t for t, (x, y, z) in enumerate(pts) if a0 * x + a1 * y + a2 * z == b]
+            else:
+                hp = hyperplane_through(base + [pts[k]])
+                if hp is None:
+                    continue
+                a, b = hp
+                for p in pts:
+                    s = dot(a, p)
+                    if s > b:
+                        pos = True
+                        if neg:
+                            break
+                    elif s < b:
+                        neg = True
+                        if pos:
+                            break
+                if pos and neg:
+                    continue
+                active = [t for t, p in enumerate(pts) if dot(a, p) == b]
+            if not pos and not neg:  # one plane holds every point: the set is flat
+                return []
+            # primitive, and turned so that a . p <= b holds on every point
+            g = -gcd(*a) if pos else gcd(*a)
+            a, b = tuple(x // g for x in a), b // g
+            fid = 1 << len(facets)
+            for i in active:
+                facet_bits[i] |= fid
+            facets.append(Facet(a, b, tuple(active)))
+            mask = _meet(facet_bits, prefix)
     return facets
+
+
+def _meet(facet_bits, prefix):
+    """AND of the facet masks of the prefix's points."""
+    mask = facet_bits[prefix[0]]
+    for i in prefix[1:]:
+        mask &= facet_bits[i]
+    return mask
 
 
 def maximal_masks(masks):

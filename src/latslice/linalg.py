@@ -275,25 +275,18 @@ def hyperplane_through(points):
     """Primitive integer (a, b) with a . p = b for all points, or None.
 
     Points must be integer vectors; None when they are affinely dependent.
-    For d <= 3 the plane is closed form: a is the edge q - p turned a
-    quarter turn in R^2, or the cross product (q - p) x (r - p) in R^3,
-    made primitive, and b = a . p; b is an integer combination of a, so
-    gcd(a, b) = gcd(a).  d = 1 and d >= 4 take the generalized cross
-    product (homogeneous signed cofactor minors) of the d x (d+1) system
-    rows (p_i, -1), which is the kernel generator when the points
-    affinely span.  Both give the same (a, b): primitive, with the first
-    nonzero entry of a positive.
+    In R^2 the plane is closed form: a is the edge q - p turned a quarter
+    turn, made primitive, and b = a . p; b is an integer combination of a,
+    so gcd(a, b) = gcd(a).  Other d take the generalized cross product
+    (homogeneous signed cofactor minors) of the d x (d+1) system rows
+    (p_i, -1), which is the kernel generator when the points affinely
+    span.  Both give the same (a, b): primitive, with the first nonzero
+    entry of a positive.  (``hull.hull_facets`` takes 3-D planes in line.)
     """
     p = points[0]
-    if 2 <= len(p) <= 3:
-        if len(p) == 2:
-            q = points[1]
-            a = (q[1] - p[1], p[0] - q[0])
-        else:
-            q, r = points[1], points[2]
-            u0, u1, u2 = q[0] - p[0], q[1] - p[1], q[2] - p[2]
-            v0, v1, v2 = r[0] - p[0], r[1] - p[1], r[2] - p[2]
-            a = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    if len(p) == 2:
+        q = points[1]
+        a = (q[1] - p[1], p[0] - q[0])
         if not any(a):
             return None
         a = primitive(a)

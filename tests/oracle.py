@@ -44,6 +44,10 @@ ran before it called ``math.gcd`` on all entries at once.
 ``hyperplane_through`` takes d + 1 signed cofactor minors at every d, as
 ``latslice.linalg`` did before it gave planes in R^2 and R^3 closed forms;
 here its minors run through this module's ``det_int`` and ``primitive``.
+``hull_facets`` is the hull as ``latslice.hull`` ran it before its 3-D
+planes and side tests went in line: one ``hyperplane_through`` (this
+module's) and one ``dot`` side test per d-subset.  It still returns one
+all-point facet for a flat set at d >= 3, so compare on spanning sets.
 ``polar_box`` is the polar's bounding box as ``from_hrep`` finds it, one
 support LP per axis, against which ``ConvexBody.polar``'s facet box is checked.
 
@@ -81,6 +85,7 @@ from latslice.errors import (
     SubspaceError,
     UnboundedBodyError,
 )
+from latslice.hull import SUBSET_GUARD, Facet, HullSizeError, _facets_2d
 from latslice.lattices import Lattice, LatticeSubspace, _bound, _tables, _walk
 from latslice.minima import SuccessiveMinima
 from latslice.linalg import (
@@ -198,6 +203,65 @@ def hyperplane_through(points):
         return None
     v = primitive(tuple(v))
     return v[:-1], v[-1]
+
+
+def hull_facets(pts, dim):
+    """All facets of conv(pts) for an integer point set spanning dimension dim.
+
+    Input not affinely spanning R^dim yields [] (no full-dimensional facets).
+    More than SUBSET_GUARD d-subsets raise HullSizeError.
+    """
+    pts = [tuple(p) for p in pts]
+    if dim == 1:
+        vals = [p[0] for p in pts]
+        if len(set(vals)) < 2:
+            return []
+        hi, lo = max(vals), min(vals)
+        return [
+            Facet((1,), hi, tuple(i for i, v in enumerate(vals) if v == hi)),
+            Facet((-1,), -lo, tuple(i for i, v in enumerate(vals) if v == lo)),
+        ]
+    if dim == 2:
+        return _facets_2d(pts)
+    n = len(pts)
+    total = 1
+    for i in range(dim):
+        total = total * (n - i) // (i + 1)
+    if total > SUBSET_GUARD:
+        raise HullSizeError(f"facet enumeration over {total} subsets exceeds guard {SUBSET_GUARD}")
+    facet_bits = [0] * n
+    facets = []
+    for comb in itertools.combinations(range(n), dim):
+        mask = facet_bits[comb[0]]
+        for i in comb[1:]:
+            mask &= facet_bits[i]
+            if not mask:
+                break
+        if mask:
+            continue
+        hp = hyperplane_through([pts[i] for i in comb])
+        if hp is None:
+            continue
+        a, b = hp
+        pos = neg = False
+        for p in pts:
+            s = dot(a, p) - b
+            if s > 0:
+                pos = True
+            elif s < 0:
+                neg = True
+            if pos and neg:
+                break
+        if pos and neg:
+            continue
+        if pos:
+            a, b = tuple(-x for x in a), -b
+        active = tuple(i for i, p in enumerate(pts) if dot(a, p) == b)
+        fid = 1 << len(facets)
+        for i in active:
+            facet_bits[i] |= fid
+        facets.append(Facet(a, b, active))
+    return facets
 
 
 def polar_box(body):

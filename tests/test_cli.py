@@ -199,10 +199,32 @@ def test_verify_non_positive_normal_bound_exit1(capsys, kind, body):
 
 
 def test_verify_unconditional_takes_no_normal_bound(capsys):
-    code, out, err = run(capsys, "verify", "unconditional", "--body", "box:1/2,3", "--normal-bound", "0")
+    for bound in ("0", "3"):
+        code, out, err = run(capsys, "verify", "unconditional", "--body", "box:1/2,3", "--normal-bound", bound)
+        assert code == 1
+        assert out == ""
+        assert err == "error: the unconditional chain takes no --normal-bound\n"
+
+
+@pytest.mark.parametrize(
+    "argv, m, checked",
+    [
+        (["verify", "unconditional", "--body", "cube:3"], 1, 2),
+        (["verify", "dim2", "--body", "cube:2"], 2, 1),
+        (["scan", "unconditional", "--body", "random-unconditional:4", "--trials", "1"], 2, 3),
+        (["scan", "dim2", "--body", "random:2", "--trials", "1"], 2, 1),
+    ],
+    ids=["verify-unconditional", "verify-dim2", "scan-unconditional", "scan-dim2"],
+)
+def test_chain_rejects_an_m_it_does_not_check(capsys, argv, m, checked):
+    code, out, err = run(capsys, *argv, "--m", str(m))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: the {argv[1]} chain checks m = {checked}, not --m {m}\n"
+    code, out, err = run(capsys, *argv, "--m", str(checked))
     assert code == 0
-    assert out.endswith("hypothesis violated: dim(K ∩ Z^d) < d\n")
     assert err == ""
+    assert out == run(capsys, *argv)[1]
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,14 +1,16 @@
 import itertools
 import random
+import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
 from latslice import hull
 from latslice.bodies import cross
-from latslice.hull import graham_hull, hull_facets, hull_volume, maximal_masks
+from latslice.hull import HullSizeError, graham_hull, hull_facets, hull_volume, maximal_masks
 from latslice.linalg import dot
 from latslice.verify import random_symmetric_body
 
@@ -56,8 +58,8 @@ def test_facets_of_cube_3d():
         assert len(f.active) == 4  # non-simplicial facets found once
 
 
-def test_facet_lists_match_cofactor_planes(monkeypatch):
-    """Closed-form 3-D planes give the same facets, actives and order as cofactor minors.
+def test_facet_lists_match_oracle():
+    """The prefix walk gives the same facets, actives and order as the per-subset oracle.
 
     Order matters: a later subset is skipped when it lies inside a facet
     found before it.
@@ -68,10 +70,56 @@ def test_facet_lists_match_cofactor_planes(monkeypatch):
     cases.append([(x, y, z) for x in range(-2, 3) for y in (-1, 0, 1) for z in (-1, 0, 1)])
     for pts in cases:
         got = hull_facets(pts, 3)
-        with monkeypatch.context() as m:
-            m.setattr(hull, "hyperplane_through", oracle.hyperplane_through)
-            assert got == hull_facets(pts, 3)
+        assert got == oracle.hull_facets(pts, 3)
         assert got
+
+
+@st.composite
+def small_sets(draw):
+    """Small-int point sets at d = 3, 4: symmetric or not, with repeated, collinear and coplanar points."""
+    d = draw(st.integers(3, 4))
+    coord = st.integers(-2, 2)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d, max_size=8 if d == 3 else 6))
+    if draw(st.booleans()):
+        pts += [tuple(-x for x in p) for p in pts]
+    extra = draw(st.sampled_from(["none", "repeated", "collinear", "coplanar"]))
+    if extra == "repeated":
+        pts += pts[: draw(st.integers(1, len(pts)))]
+    elif extra == "collinear" and len(pts) >= 2:  # p + 2(q - p) on the line through p, q
+        p, q = pts[0], pts[1]
+        pts.append(tuple(2 * b - a for a, b in zip(p, q)))
+    elif extra == "coplanar" and len(pts) >= 3:  # q + r - p in the plane through p, q, r
+        p, q, r = pts[:3]
+        pts.append(tuple(b + c - a for a, b, c in zip(p, q, r)))
+    return d, pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_sets())
+def test_facet_lists_match_oracle_on_small_sets(case):
+    d, pts = case
+    got = hull_facets(pts, d)
+    if oracle.int_rank([tuple(x - y for x, y in zip(p, pts[0])) for p in pts]) < d:
+        assert got == []
+    else:
+        assert got == oracle.hull_facets(pts, d)
+
+
+def test_flat_sets_have_no_facets():
+    square = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    cube = [p + (2,) for p in itertools.product((0, 1), repeat=3)]
+    for pts, d in ((square, 3), (square + [(2, 3, 0)], 3), (cube, 4)):
+        assert hull_facets(pts, d) == []
+        assert hull_volume(pts, d) == 0
+
+
+def test_subset_guard_raises_before_walking():
+    pts = [(i, i * i, i * i * i) for i in range(146)]  # C(146, 3) = 508,080 > SUBSET_GUARD
+    assert comb(146, 3) > hull.SUBSET_GUARD >= comb(145, 3)
+    start = time.perf_counter()
+    with pytest.raises(HullSizeError):
+        hull_facets(pts, 3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_maximal_masks_keep_vertices_only():
