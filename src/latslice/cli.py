@@ -139,6 +139,9 @@ def _cmd_minima(args):
 def _cmd_slice(args):
     body = body_from_spec(args.body)
     if args.normal:
+        for flag, value in (("--m", args.m), ("--normal-bound", args.normal_bound)):
+            if value is not None:
+                raise LatsliceError(f"slice --normal counts one given subspace and takes no {flag}")
         sub = _parse_subspace(args.normal, body.dim)
         total = slice_count(body, sub).total
         _emit(args, [str(total)], {"body": body.name, "subspace": sub.spec(), "count": total})

@@ -6,18 +6,22 @@ label (slice_profile); tests hold the two routes equal.
 
 The max-slice search keys every m-subset of a vector family by its
 primitive Plücker vector (its m×m minors), so subsets with the same span
-share one key.  The minors come from prefix minors: a walk over prefixes
-in index order takes one Laplace step per added vector, and a dependent
-prefix (all minors zero) is pruned with all its extensions.  An m-subset
-whose vectors are all recorded members of one span already found is
+share one key.  At m = 2 the search is one flat loop over index pairs,
+each keyed by its 2×2 minors computed in line; at other m the minors come
+from prefix minors: a walk over prefixes in index order takes one Laplace
+step per added vector, and a dependent prefix (all minors zero) is pruned
+with all its extensions.  Each span owns one bit and each vector a mask of
+the spans it is a member of.  An m-subset whose masks share a bit is
 skipped before its minors are computed: m vectors of rank m inside an
 m-dimensional span S span S itself and are already S's members, so the
-skip changes no key, key order, first subset or member set.  K ∩ Z^d is read
-once into point counts per primitive direction, from its points >lex 0
-(the listing is sorted and symmetric, and p and -p share a direction); a
-span's count is the zero point plus the counts of the directions it
-contains, and the Hermite-form subspace is built only for the spans tied
-at the maximum.
+skip changes no key, key order, first subset or member.  The same masks
+keep each span's count during the walk: a vector adds its weight to a
+span when it first takes the span's bit.  K ∩ Z^d is read once into point
+counts per primitive direction, from its points >lex 0 (the listing is
+sorted and symmetric, and p and -p share a direction); these are the
+weights, a span's count is the zero point plus the weights of the
+directions it contains, and the Hermite-form subspace is built only for
+the spans tied at the maximum.
 The search is exhaustive-certified only when the family "spans of
 m-subsets of lattice points of K (plus coordinate vectors)" has at most
 CERTIFY_LIMIT subsets, since an optimizer can always be rebuilt from the
@@ -182,26 +186,64 @@ def _in_span(key, v, terms) -> bool:
     return all(sum(s * v[j] * key[i] for j, s, i in t) == 0 for t in terms)
 
 
-def _spans(vectors, d, m, limit):
-    """{key: (first m-subset, union of its m-subsets)} over rank-m m-subsets.
+def _spans(vectors, weights, d, m, limit):
+    """{key: (weight, first m-subset)} over rank-m m-subsets; None past limit subsets.
 
-    A depth-m walk over prefixes in index order: a prefix's k-minors give
-    the linear forms of the (k+1)-minors of each added vector (one Laplace
-    step), and a prefix whose minors all vanish is pruned.  Each key owns
-    one bit, and masks[i] holds the bits of the keys whose members include
-    vector i; an m-subset whose masks share a bit lies in a recorded span,
-    so it is skipped before its minors are computed.  Keys, insertion order,
-    first subsets and member sets are those of every m-subset in
-    combinations order.  None when there are more than limit subsets.
+    At m = 2 the subsets are the index pairs of one flat loop; at other m
+    they come from a depth-m prefix walk.  A span's weight is the sum of
+    weights[i] over its members, the vectors of its m-subsets.  Each key
+    owns one bit, and masks[i] holds the bits of the spans vector i is a
+    member of; an m-subset whose masks share a bit lies in a recorded span,
+    so it is skipped before its minors are computed, and a vector adds its
+    weight to a span when it first takes the span's bit.  Keys, insertion
+    order, first subsets and weights are those of every m-subset in
+    combinations order.
     """
     if comb(len(vectors), m) > limit:
         return None
-    spans: dict[tuple, tuple] = {}
-    _extend(spans, {}, [0] * len(vectors), vectors, d, m, 0, (), (1,), -1)
-    return spans
+    spans: dict[tuple, list] = {}
+    masks = [0] * len(vectors)
+    if m == 2:
+        _pairs(spans, masks, vectors, weights, d)
+    else:
+        _extend(spans, masks, vectors, weights, d, m, 0, (), (1,), -1)
+    return {key: (w, first) for key, (_, w, first) in spans.items()}
 
 
-def _extend(spans, bits, masks, vectors, d, m, start, prefix, minors, common):
+def _pairs(spans, masks, vectors, weights, d):
+    """Add to spans every rank-2 pair, keyed by its 2×2 minors u_a·v_b − u_b·v_a (a < b)."""
+    cols = tuple(itertools.combinations(range(d), 2))
+    n = len(vectors)
+    for i in range(n - 1):
+        u = vectors[i]
+        if not any(u):
+            continue
+        forms = [(a, b, u[a], u[b]) for a, b in cols]
+        wi = weights[i]
+        common = masks[i]  # grows with the spans i joins here; no later pair reads masks[i]
+        for j in range(i + 1, n):
+            if common & masks[j]:
+                continue  # both vectors are members of one recorded span
+            v = vectors[j]
+            mu = [ua * v[b] - ub * v[a] for a, b, ua, ub in forms]
+            if not any(mu):
+                continue
+            key = primitive(mu)
+            span = spans.get(key)
+            if span is None:
+                bit = 1 << len(spans)
+                spans[key] = [bit, wi + weights[j], (u, v)]
+            else:
+                bit = span[0]
+                if not common & bit:
+                    span[1] += wi
+                if not masks[j] & bit:
+                    span[1] += weights[j]
+            masks[j] |= bit
+            common |= bit
+
+
+def _extend(spans, masks, vectors, weights, d, m, start, prefix, minors, common):
     """Add to spans every m-subset that extends prefix (indices, with its minors) by later vectors.
 
     common is the AND of the prefix's masks: the recorded spans holding every prefix vector.
@@ -218,7 +260,7 @@ def _extend(spans, bits, masks, vectors, d, m, start, prefix, minors, common):
         for i in range(start, stop):
             mu = [sum(map(mul, w, vectors[i])) for w in forms]
             if any(mu):
-                _extend(spans, bits, masks, vectors, d, m, i + 1, prefix + (i,), mu, common & masks[i])
+                _extend(spans, masks, vectors, weights, d, m, i + 1, prefix + (i,), mu, common & masks[i])
         return
     head = tuple(vectors[j] for j in prefix)
     for i in range(start, stop):
@@ -228,14 +270,18 @@ def _extend(spans, bits, masks, vectors, d, m, start, prefix, minors, common):
         mu = [sum(map(mul, w, v)) for w in forms]
         if not any(mu):
             continue
-        combo = head + (v,)
         key = primitive(mu)
-        bit = bits.get(key)
-        if bit is None:
-            bit = bits[key] = 1 << len(bits)
-            spans[key] = (combo, set(combo))
+        span = spans.get(key)
+        if span is None:
+            bit = 1 << len(spans)
+            span = spans[key] = [bit, 0, head + (v,)]
         else:
-            spans[key][1].update(combo)
+            bit = span[0]
+        for j in prefix:  # common holds the bits the prefix took in this loop
+            if not (masks[j] | common) & bit:
+                span[1] += weights[j]
+        if not masks[i] & bit:
+            span[1] += weights[i]
         masks[i] |= bit
         common |= bit
     for j in prefix:  # the loop reads no prefix mask, so the prefix takes its new bits at the end
@@ -255,11 +301,11 @@ def max_slice(body, m, normal_bound=None) -> MaxSliceResult:
     their normals.  A candidate's count is the zero point plus the point
     counts of the directions it contains.  The certified family holds
     every point direction, and by exchange each direction inside a span
-    lies in an m-subset with that span's key, so the union of those
-    subsets is exactly the directions to count; the fallback families test
-    every direction.  The Hermite-form subspace is built only for the
-    candidates tied at the maximum, and the witness is the one with the
-    smallest basis.
+    lies in an m-subset with that span's key, so the walk's weight of a
+    span (its members' point counts, kept during the walk) is exactly the
+    count; the fallback families test every direction.  The Hermite-form
+    subspace is built only for the candidates tied at the maximum, and the
+    witness is the one with the smallest basis.
 
     The fallback families hold the primitive vectors of sup-norm at most
     normal_bound (None: 3 for d <= 4, else 1), the coordinate vectors and
@@ -278,14 +324,11 @@ def max_slice(body, m, normal_bound=None) -> MaxSliceResult:
     zero = 1
 
     spanning = tuple(sorted(set(mult) | set(identity(d))))
-    spans = _spans(spanning, d, m, CERTIFY_LIMIT)
+    spans = _spans(spanning, [mult[v] for v in spanning], d, m, CERTIFY_LIMIT)
     exhaustive = spans is not None
     if exhaustive:
         build = LatticeSubspace.from_basis
-        candidates = {
-            key: (zero + sum(mult[v] for v in members), first)
-            for key, (first, members) in spans.items()
-        }
+        candidates = spans
     else:
         if normal_bound is None:
             normal_bound = 3 if d <= 4 else 1
@@ -296,31 +339,32 @@ def max_slice(body, m, normal_bound=None) -> MaxSliceResult:
             normals.update(primitive(v) for v in extra)
             build = LatticeSubspace.from_normal
             candidates = {
-                u: (zero + sum(c for v, c in mult.items() if dot(u, v) == 0), u)
+                u: (sum(c for v, c in mult.items() if dot(u, v) == 0), u)
                 for u in normals
             }
         else:
             vecs = set(_primitive_vectors(d, normal_bound))
             vecs.update(extra)
-            spans = _spans(tuple(sorted(vecs)), d, m, CERTIFY_LIMIT)
-            if spans is None:
-                spans = _spans(tuple(sorted(set(extra))), d, m, CERTIFY_LIMIT)
-            if spans is None:
+            for family in (sorted(vecs), sorted(set(extra))):
+                spans = _spans(family, [0] * len(family), d, m, CERTIFY_LIMIT)
+                if spans is not None:
+                    break
+            else:
                 raise SubspaceError("candidate family too large")
             terms = _expansion(d, m)
             build = LatticeSubspace.from_basis
             candidates = {
-                key: (zero + sum(c for v, c in mult.items() if _in_span(key, v, terms)), first)
-                for key, (first, _) in spans.items()
+                key: (sum(c for v, c in mult.items() if _in_span(key, v, terms)), first)
+                for key, (_, first) in spans.items()
             }
 
-    count = max(c for c, _ in candidates.values())
+    best = max(c for c, _ in candidates.values())
     witness = min(
-        (build(arg) for c, arg in candidates.values() if c == count), key=lambda s: s.basis
+        (build(arg) for c, arg in candidates.values() if c == best), key=lambda s: s.basis
     )
     return MaxSliceResult(
         m=m,
-        best_count=count,
+        best_count=zero + best,
         witness=witness,
         candidates_searched=len(candidates),
         exhaustive=exhaustive,

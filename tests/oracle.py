@@ -33,7 +33,11 @@ m-subset by the primitive vector of its m×m minors, each a ``det_int``, as
 ``latslice.slicing._spans`` did before it walked prefixes and added one
 Laplace step per vector.  ``walk_spans`` (with ``_extend``) is that prefix
 walk as it was before it skipped the m-subsets lying in a recorded span: it
-keys every rank-m m-subset.
+keys every rank-m m-subset.  ``skip_spans`` (with ``_skip_extend``) is
+the skip walk as ``latslice.slicing._spans`` ran it before it kept each
+span's weight in the walk and walked m = 2 as one flat pair loop: it
+returns each span's first subset and member set, and runs at every m
+through the prefix recursion.
 
 Linear algebra: ``int_rank`` (Fraction elimination) and ``det_int``
 (Bareiss at every size) are kept as they were, so the fraction-free rank
@@ -926,6 +930,66 @@ def _extend(spans, vectors, d, m, start, prefix, minors):
             spans[key][1].update(combo)
         else:
             spans[key] = (combo, set(combo))
+
+
+def skip_spans(vectors, d, m, limit):
+    """{key: (first m-subset, union of its m-subsets)} over rank-m m-subsets.
+
+    A depth-m walk over prefixes in index order: a prefix's k-minors give
+    the linear forms of the (k+1)-minors of each added vector (one Laplace
+    step), and a prefix whose minors all vanish is pruned.  Each key owns
+    one bit, and masks[i] holds the bits of the keys whose members include
+    vector i; an m-subset whose masks share a bit lies in a recorded span,
+    so it is skipped before its minors are computed.  Keys, insertion order,
+    first subsets and member sets are those of every m-subset in
+    combinations order.  None when there are more than limit subsets.
+    """
+    if comb(len(vectors), m) > limit:
+        return None
+    spans: dict[tuple, tuple] = {}
+    _skip_extend(spans, {}, [0] * len(vectors), vectors, d, m, 0, (), (1,), -1)
+    return spans
+
+
+def _skip_extend(spans, bits, masks, vectors, d, m, start, prefix, minors, common):
+    """Add to spans every m-subset that extends prefix (indices, with its minors) by later vectors.
+
+    common is the AND of the prefix's masks: the recorded spans holding every prefix vector.
+    """
+    k = len(prefix)
+    forms = []
+    for t in _expansion(d, k):
+        w = [0] * d
+        for j, s, q in t:
+            w[j] = s * minors[q]
+        forms.append(w)
+    stop = len(vectors) - m + k + 1
+    if k + 1 < m:
+        for i in range(start, stop):
+            mu = [sum(map(mul, w, vectors[i])) for w in forms]
+            if any(mu):
+                _skip_extend(spans, bits, masks, vectors, d, m, i + 1, prefix + (i,), mu, common & masks[i])
+        return
+    head = tuple(vectors[j] for j in prefix)
+    for i in range(start, stop):
+        if common & masks[i]:
+            continue  # all m vectors are members of one recorded span
+        v = vectors[i]
+        mu = [sum(map(mul, w, v)) for w in forms]
+        if not any(mu):
+            continue
+        combo = head + (v,)
+        key = primitive(mu)
+        bit = bits.get(key)
+        if bit is None:
+            bit = bits[key] = 1 << len(bits)
+            spans[key] = (combo, set(combo))
+        else:
+            spans[key][1].update(combo)
+        masks[i] |= bit
+        common |= bit
+    for j in prefix:  # the loop reads no prefix mask, so the prefix takes its new bits at the end
+        masks[j] |= common
 
 
 def max_slice(body, m, normal_bound=None, certify_limit=CERTIFY_LIMIT) -> MaxSliceResult:

@@ -188,6 +188,16 @@ def test_slice_non_positive_normal_bound_exit1(capsys):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--m", "2"), ("--normal-bound", "0"), ("--normal-bound", "3")])
+def test_slice_normal_takes_no_search_flags(capsys, flag, value):
+    # --normal counts one given subspace; the max-slice flags would be ignored
+    code, out, err = run(capsys, "slice", "--body", "cube:3", "--normal", "1,0,0", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: slice --normal counts one given subspace and takes no {flag}\n"
+    assert run(capsys, "slice", "--body", "cube:3", "--normal", "1,0,0") == (0, "9\n", "")
+
+
 @pytest.mark.parametrize("kind", ["main", "dim2"])
 @pytest.mark.parametrize("body", ["cube:3", "box:1/2,3"])
 def test_verify_non_positive_normal_bound_exit1(capsys, kind, body):

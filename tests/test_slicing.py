@@ -186,10 +186,11 @@ def test_max_slice_matches_per_subset_oracle(kind, d, seed, data):
 
 
 @st.composite
-def vector_families(draw, max_d=5):
+def vector_families(draw, max_d=5, m=None):
     """(vectors, d, m): small vectors with parallel, repeated and dependent members."""
-    d = draw(st.integers(2, max_d))
-    m = draw(st.integers(1, d - 1))
+    d = draw(st.integers(max(2, m or 0), max_d))
+    if m is None:
+        m = draw(st.integers(1, d - 1))
     coord = st.integers(-3, 3)
     base = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=m + 1))
     vectors = []
@@ -208,26 +209,57 @@ def vector_families(draw, max_d=5):
     return tuple(vectors), d, m
 
 
+def _bits(vectors):
+    """Weight 2**i for vector i, so that a span's weight spells out which vectors are its members."""
+    return [1 << i for i in range(len(vectors))]
+
+
+def _weighed(spans, vectors, weights):
+    """An oracle's {key: (first subset, member set)} as _spans gives it: {key: (members' weight, first)}."""
+    if spans is None:
+        return None
+    return {
+        key: (sum(w for v, w in zip(vectors, weights) if v in members), first)
+        for key, (first, members) in spans.items()
+    }
+
+
+def _assert_same_spans(got, want):
+    # keys, key order, first subsets and weights; dict equality alone ignores order
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert list(got.items()) == list(want.items())
+
+
 @settings(max_examples=300, deadline=None)
 @given(vector_families(), st.integers(0, 200))
 def test_spans_match_per_subset_oracle(family, limit):
     vectors, d, m = family
-    got = slicing._spans(vectors, d, m, limit)
-    want = oracle._spans(vectors, d, m, limit)
+    weights = _bits(vectors)
+    got = slicing._spans(vectors, weights, d, m, limit)
     assert (got is None) == (limit < comb(len(vectors), m))
-    # dict equality ignores order; the first subsets and the key order must match too
-    assert got == want
-    if got is not None:
-        assert list(got.items()) == list(want.items())
+    _assert_same_spans(got, _weighed(oracle._spans(vectors, d, m, limit), vectors, weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_families(m=2), st.data())
+def test_pair_loop_matches_per_subset_oracle(family, data):
+    # the m = 2 flat pair loop against the per-subset minors and the member-set skip walk
+    vectors, d, m = family
+    pairs = comb(len(vectors), 2)
+    limit = data.draw(st.integers(max(0, pairs - 2), pairs + 2))
+    weights = _bits(vectors)
+    got = slicing._spans(vectors, weights, d, m, limit)
+    assert (got is None) == (limit < pairs)
+    _assert_same_spans(got, _weighed(oracle._spans(vectors, d, m, limit), vectors, weights))
+    _assert_same_spans(got, _weighed(oracle.skip_spans(vectors, d, m, limit), vectors, weights))
 
 
 def _assert_same_walk(vectors, d, m):
-    got = slicing._spans(vectors, d, m, slicing.CERTIFY_LIMIT)
-    want = oracle.walk_spans(vectors, d, m, slicing.CERTIFY_LIMIT)
-    # keys, key order, first subsets and member sets
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert list(got.items()) == list(want.items())
+    weights = _bits(vectors)
+    got = slicing._spans(vectors, weights, d, m, slicing.CERTIFY_LIMIT)
+    for walk in (oracle.walk_spans, oracle.skip_spans):
+        _assert_same_spans(got, _weighed(walk(vectors, d, m, slicing.CERTIFY_LIMIT), vectors, weights))
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,7 +290,8 @@ def test_skipping_walk_matches_full_walk_on_point_directions(d, seed, crowded, d
 )
 def test_skipping_walk_keys_fewer_subsets(monkeypatch, body, keyed, keys):
     vectors = _directions(body)
-    want = oracle.walk_spans(vectors, 3, 2, slicing.CERTIFY_LIMIT)
+    weights = _bits(vectors)
+    want = _weighed(oracle.walk_spans(vectors, 3, 2, slicing.CERTIFY_LIMIT), vectors, weights)
     calls = []
     original = slicing.primitive
 
@@ -267,7 +300,7 @@ def test_skipping_walk_keys_fewer_subsets(monkeypatch, body, keyed, keys):
         return original(u)
 
     monkeypatch.setattr(slicing, "primitive", counted)
-    got = slicing._spans(vectors, 3, 2, slicing.CERTIFY_LIMIT)
+    got = slicing._spans(vectors, weights, 3, 2, slicing.CERTIFY_LIMIT)
     assert list(got.items()) == list(want.items())
     # every pair of distinct directions has rank 2, so the full walk keys all of them
     assert len(calls) == keyed < comb(len(vectors), 2)
@@ -277,9 +310,20 @@ def test_skipping_walk_keys_fewer_subsets(monkeypatch, body, keyed, keys):
 @pytest.mark.parametrize("d, m, seeds", [(3, 1, range(6)), (3, 2, range(6)), (4, 2, range(2)), (4, 3, range(2))])
 def test_max_slice_unchanged_by_prefix_minors(monkeypatch, d, m, seeds):
     bodies = [random_symmetric_body(d, seed) for seed in seeds]
+    if d == 3:
+        # the crowded scan-main bodies, where the skip fires most
+        bodies += [random_symmetric_body(3, seed, points=3, spread=3) for seed in seeds]
     got = [max_slice(b, m) for b in bodies]
-    monkeypatch.setattr(slicing, "_spans", oracle._spans)
+    calls = []
+
+    def per_subset(vectors, weights, d, m, limit):
+        # every m, m = 2 included, searches through _spans
+        calls.append(m)
+        return _weighed(oracle._spans(vectors, d, m, limit), vectors, weights)
+
+    monkeypatch.setattr(slicing, "_spans", per_subset)
     assert got == [max_slice(b, m) for b in bodies]
+    assert len(calls) >= len(bodies)
 
 
 def test_max_slice_ties_match_oracle():
