@@ -397,10 +397,13 @@ def body_from_dict(data, strict=False, name=None) -> ConvexBody:
         raise BodyFormatError("body file must hold a JSON object")
     d = None
     if "dim" in data:
+        raw = data["dim"]
         try:
-            d = int(data["dim"])
+            d = int(raw)
         except (ValueError, TypeError, OverflowError) as exc:
-            raise BodyFormatError(f"bad dim {data['dim']!r}") from exc
+            raise BodyFormatError(f"bad dim {raw!r}") from exc
+        if isinstance(raw, bool) or not isinstance(raw, str) and d != raw:  # "2" parses; 2.5 and true do not
+            raise BodyFormatError(f"bad dim {raw!r}: not an integer")
     if "hrep" in data:
         if d is None:
             raise BodyFormatError("hrep body file needs a dim field")

@@ -327,8 +327,9 @@ def _cmd_scan(args):
     if args.jobs < 1:
         raise LatsliceError("scan --jobs must be at least 1")
     tasks = [(args.kind, gen, d, args.m, args.seed + i) for i in range(args.trials)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))  # a fork pool starts every worker at its first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_scan_one, tasks))
     else:
         reports = [_scan_one(t) for t in tasks]

@@ -37,6 +37,11 @@ on an arbitrary polygon keeps the full walk.
 K ∩ Z^d at scale 1 is listed once per body and cached as
 ``ConvexBody.lattice_points``; ``enumerate_points`` copies it for that
 lattice and scale, and ``count_points`` never lists.
+
+Every lattice subspace H comes from ``LatticeSubspace.from_normals``: the
+integer kernel of its normal rows is a basis of Z^d ∩ H, put in row
+Hermite form.  ``from_normal`` is its one-row case, and ``from_basis``
+passes it the kernel of its vectors.
 """
 
 from __future__ import annotations
@@ -53,11 +58,9 @@ from .linalg import (
     gram_det,
     identity,
     int_rank,
-    is_zero,
     kernel_basis,
     primitive,
     row_hnf,
-    saturate_span,
     solve_rational,
 )
 
@@ -137,6 +140,19 @@ def _isqrt_exact(n):
     return r if r * r == n else None
 
 
+def _integral(v) -> tuple[int, ...]:
+    """The entries of v as ints (Fraction(2) and 2.0 too); SubspaceError names a non-integer."""
+    v = tuple(v)
+    for x in v:
+        try:
+            if int(x) == x:
+                continue
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise SubspaceError(f"entry {x!r} is not an integer")
+    return tuple(map(int, v))
+
+
 @dataclass(frozen=True)
 class LatticeSubspace:
     """m-dimensional lattice subspace of R^d with a canonical primitive basis.
@@ -152,20 +168,35 @@ class LatticeSubspace:
     normal: tuple[int, ...] | None
 
     @classmethod
+    def from_normals(cls, rows) -> "LatticeSubspace":
+        """{x : r . x = 0 for every row r}, for integer rows of rank 1 to d - 1."""
+        rows = [_integral(r) for r in rows]
+        if not rows:
+            raise SubspaceError("no normal vectors")
+        d = len(rows[0])
+        if any(len(r) != d for r in rows):
+            raise SubspaceError("mixed vector lengths")
+        first = next(filter(any, rows), None)
+        if first is None:
+            raise SubspaceError("the normal rows are all zero")
+        cols = kernel_basis(rows)
+        if not cols:
+            raise SubspaceError(f"the normals have rank {d}: their common kernel is 0")
+        normal = primitive(first) if len(cols) == d - 1 else None
+        return cls(ambient_dim=d, m=len(cols), basis=tuple(row_hnf(cols)), normal=normal)
+
+    @classmethod
     def from_normal(cls, u) -> "LatticeSubspace":
-        u = tuple(int(x) for x in u)
-        if is_zero(u):
+        u = _integral(u)
+        if not any(u):
             raise SubspaceError("zero normal vector")
-        d = len(u)
-        if d < 2:
+        if len(u) < 2:
             raise SubspaceError("hyperplanes need ambient dimension >= 2")
-        un = primitive(u)
-        cols = kernel_basis([un])
-        return cls._canonical(d, cols, normal=un)
+        return cls.from_normals([u])
 
     @classmethod
     def from_basis(cls, vectors) -> "LatticeSubspace":
-        vecs = [tuple(int(x) for x in v) for v in vectors]
+        vecs = [_integral(v) for v in vectors]
         if not vecs:
             raise SubspaceError("empty basis")
         d = len(vecs[0])
@@ -173,23 +204,13 @@ class LatticeSubspace:
             raise SubspaceError("mixed vector lengths")
         if d < 2:
             raise SubspaceError(f"a lattice subspace needs d >= 2, got d = {d}")
-        if int_rank(vecs) != len(vecs):
-            raise SubspaceError("basis vectors are dependent")
         m = len(vecs)
+        normals = kernel_basis(vecs)
+        if len(normals) != d - m:  # the kernel has rank d - rank(vecs)
+            raise SubspaceError("basis vectors are dependent")
         if not 1 <= m < d:
             raise SubspaceError(f"subspace dimension must be in [1, {d-1}]")
-        cols = saturate_span(vecs)
-        normal = None
-        if m == d - 1:
-            kern = kernel_basis(list(cols))
-            normal = primitive(kern[0])
-        return cls._canonical(d, cols, normal=normal)
-
-    @classmethod
-    def _canonical(cls, d, cols, normal=None):
-        rows = row_hnf([tuple(c) for c in cols])
-        basis = tuple(tuple(r) for r in rows)
-        return cls(ambient_dim=d, m=len(basis), basis=basis, normal=normal)
+        return cls.from_normals(normals)
 
     def kernel_normals(self):
         """Primitive integer basis of the orthogonal complement lattice.
@@ -618,7 +639,7 @@ def count_points(body, lattice=None, by_normal=None, scale=Fraction(1)) -> Point
     if by_normal is None:
         return PointCount(total=count_solutions(rows, box, half=True))
     runs = _runs(rows, box, half=True)
-    u = tuple(int(x) for x in by_normal)
+    u = _integral(by_normal)
     if lat is not None:
         u = tuple(dot(u, col) for col in lat.basis)  # u . (B y) = (B^T u) . y
     levels: dict[int, int] = {}
@@ -653,7 +674,7 @@ def project_count(body, directions, lattice=None) -> PointCount:
     through the integer pairing, matching the projection bound in the
     co-dimensional factorization.
     """
-    vecs = [tuple(int(x) for x in v) for v in directions]
+    vecs = [_integral(v) for v in directions]
     if not vecs:
         raise SubspaceError("empty direction list")
     if any(len(v) != body.dim for v in vecs):

@@ -22,20 +22,12 @@ def dot(u, v):
     return s
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_neg(u):
     return tuple(-a for a in u)
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
 
 
 def is_zero(u) -> bool:
@@ -73,10 +65,6 @@ def scale_to_int(vectors: list[FracVec]) -> tuple[list[IntVec], int]:
 
 def transpose(m):
     return [tuple(row[j] for row in m) for j in range(len(m[0]))] if m else []
-
-
-def mat_vec(m, v):
-    return tuple(dot(row, v) for row in m)
 
 
 def echelon_add(echelon, row) -> bool:
@@ -246,18 +234,6 @@ def kernel_basis(rows) -> list[IntVec]:
     cols = transpose(rows)  # n x m, rows indexed by original columns
     _, u, rank = row_hnf_transform(cols)
     return [tuple(r) for r in u[rank:]]
-
-
-def saturate_span(vectors) -> list[IntVec]:
-    """Basis of span_Q(vectors) intersected with Z^n (the saturated sublattice)."""
-    vecs = [v for v in vectors if not is_zero(v)]
-    if not vecs:
-        return []
-    n = len(vecs[0])
-    normals = kernel_basis(vecs)
-    if not normals:
-        return [tuple(r) for r in identity(n)]
-    return kernel_basis(normals)
 
 
 def identity(n) -> list[IntVec]:

@@ -14,14 +14,17 @@ with all its extensions.  Each span owns one bit and each vector a mask of
 the spans it is a member of.  An m-subset whose masks share a bit is
 skipped before its minors are computed: m vectors of rank m inside an
 m-dimensional span S span S itself and are already S's members, so the
-skip changes no key, key order, first subset or member.  The same masks
-keep each span's count during the walk: a vector adds its weight to a
-span when it first takes the span's bit.  K ∩ Z^d is read once into point
+skip changes no key, key order or member.  The same masks keep each
+span's count during the walk: a vector adds its weight to a span when it
+first takes the span's bit.  K ∩ Z^d is read once into point
 counts per primitive direction, from its points >lex 0 (the listing is
 sorted and symmetric, and p and -p share a direction); these are the
-weights, a span's count is the zero point plus the weights of the
-directions it contains, and the Hermite-form subspace is built only for
-the spans tied at the maximum.
+weights, and a span's count is the zero point plus the weights of the
+directions it contains.  A key alone gives its span: its (m+1)-minor forms
+(``_forms``) are normal rows whose common kernel is the span.  They test
+fallback membership, and ``from_normals(forms)`` is built only for the
+spans tied at the maximum.  A normal read as a key has one form, its
+Hodge dual, so the m = d-1 fallback keys hyperplanes the same way.
 The search is exhaustive-certified only when the family "spans of
 m-subsets of lattice points of K (plus coordinate vectors)" has at most
 CERTIFY_LIMIT subsets, since an optimizer can always be rebuilt from the
@@ -181,13 +184,22 @@ def _expansion(d, m):
     )
 
 
-def _in_span(key, v, terms) -> bool:
-    """v lies in the span keyed by key: every (m+1)-minor with v added vanishes."""
-    return all(sum(s * v[j] * key[i] for j, s, i in t) == 0 for t in terms)
+def _forms(minors, d, k):
+    """Rows w_t with w_t . v the t-th (k+1)-minor of a k-span (k-minors minors) plus v.
+
+    Their common kernel is the span; at k = d - 1 the one row is the Hodge dual of minors.
+    """
+    forms = []
+    for t in _expansion(d, k):
+        w = [0] * d
+        for j, s, q in t:
+            w[j] = s * minors[q]
+        forms.append(w)
+    return forms
 
 
 def _spans(vectors, weights, d, m, limit):
-    """{key: (weight, first m-subset)} over rank-m m-subsets; None past limit subsets.
+    """{key: weight} over rank-m m-subsets; None past limit subsets.
 
     At m = 2 the subsets are the index pairs of one flat loop; at other m
     they come from a depth-m prefix walk.  A span's weight is the sum of
@@ -196,8 +208,7 @@ def _spans(vectors, weights, d, m, limit):
     member of; an m-subset whose masks share a bit lies in a recorded span,
     so it is skipped before its minors are computed, and a vector adds its
     weight to a span when it first takes the span's bit.  Keys, insertion
-    order, first subsets and weights are those of every m-subset in
-    combinations order.
+    order and weights are those of every m-subset in combinations order.
     """
     if comb(len(vectors), m) > limit:
         return None
@@ -207,7 +218,7 @@ def _spans(vectors, weights, d, m, limit):
         _pairs(spans, masks, vectors, weights, d)
     else:
         _extend(spans, masks, vectors, weights, d, m, 0, (), (1,), -1)
-    return {key: (w, first) for key, (_, w, first) in spans.items()}
+    return {key: w for key, (_, w) in spans.items()}
 
 
 def _pairs(spans, masks, vectors, weights, d):
@@ -232,7 +243,7 @@ def _pairs(spans, masks, vectors, weights, d):
             span = spans.get(key)
             if span is None:
                 bit = 1 << len(spans)
-                spans[key] = [bit, wi + weights[j], (u, v)]
+                spans[key] = [bit, wi + weights[j]]
             else:
                 bit = span[0]
                 if not common & bit:
@@ -249,12 +260,7 @@ def _extend(spans, masks, vectors, weights, d, m, start, prefix, minors, common)
     common is the AND of the prefix's masks: the recorded spans holding every prefix vector.
     """
     k = len(prefix)
-    forms = []
-    for t in _expansion(d, k):
-        w = [0] * d
-        for j, s, q in t:
-            w[j] = s * minors[q]
-        forms.append(w)
+    forms = _forms(minors, d, k)
     stop = len(vectors) - m + k + 1
     if k + 1 < m:
         for i in range(start, stop):
@@ -262,7 +268,6 @@ def _extend(spans, masks, vectors, weights, d, m, start, prefix, minors, common)
             if any(mu):
                 _extend(spans, masks, vectors, weights, d, m, i + 1, prefix + (i,), mu, common & masks[i])
         return
-    head = tuple(vectors[j] for j in prefix)
     for i in range(start, stop):
         if common & masks[i]:
             continue  # all m vectors are members of one recorded span
@@ -274,7 +279,7 @@ def _extend(spans, masks, vectors, weights, d, m, start, prefix, minors, common)
         span = spans.get(key)
         if span is None:
             bit = 1 << len(spans)
-            span = spans[key] = [bit, 0, head + (v,)]
+            span = spans[key] = [bit, 0]
         else:
             bit = span[0]
         for j in prefix:  # common holds the bits the prefix took in this loop
@@ -296,16 +301,16 @@ def _check_normal_bound(normal_bound):
 def max_slice(body, m, normal_bound=None) -> MaxSliceResult:
     """Maximize #(K ∩ H ∩ Z^d) over a family of m-dimensional lattice subspaces.
 
-    Candidates are spans of m-subsets of a vector family keyed by their
-    Plücker vectors, or, in the m = d-1 fallback, hyperplanes keyed by
-    their normals.  A candidate's count is the zero point plus the point
+    Candidates are spans of m-subsets of a vector family or, in the m = d-1
+    fallback, hyperplanes of a family of normals, all keyed by their
+    Plücker vectors.  A candidate's count is the zero point plus the point
     counts of the directions it contains.  The certified family holds
     every point direction, and by exchange each direction inside a span
     lies in an m-subset with that span's key, so the walk's weight of a
     span (its members' point counts, kept during the walk) is exactly the
-    count; the fallback families test every direction.  The Hermite-form
-    subspace is built only for the candidates tied at the maximum, and the
-    witness is the one with the smallest basis.
+    count; the fallback families test every direction against the key's
+    forms.  The witness is rebuilt from its key alone, for the candidates
+    tied at the maximum, and is the one with the smallest basis.
 
     The fallback families hold the primitive vectors of sup-norm at most
     normal_bound (None: 3 for d <= 4, else 1), the coordinate vectors and
@@ -324,48 +329,39 @@ def max_slice(body, m, normal_bound=None) -> MaxSliceResult:
     zero = 1
 
     spanning = tuple(sorted(set(mult) | set(identity(d))))
-    spans = _spans(spanning, [mult[v] for v in spanning], d, m, CERTIFY_LIMIT)
-    exhaustive = spans is not None
-    if exhaustive:
-        build = LatticeSubspace.from_basis
-        candidates = spans
-    else:
+    counts = _spans(spanning, [mult[v] for v in spanning], d, m, CERTIFY_LIMIT)
+    exhaustive = counts is not None
+    if not exhaustive:
         if normal_bound is None:
             normal_bound = 3 if d <= 4 else 1
         extra = identity(d)
         extra.extend(primitive(v) for v in _polar_basis(body))
+        vecs = set(_primitive_vectors(d, normal_bound))
+        vecs.update(extra)
         if m == d - 1:
-            normals = set(_primitive_vectors(d, normal_bound))
-            normals.update(primitive(v) for v in extra)
-            build = LatticeSubspace.from_normal
-            candidates = {
-                u: (sum(c for v, c in mult.items() if dot(u, v) == 0), u)
-                for u in normals
-            }
+            # the vectors are normals; read as a key, a normal's one form is its Hodge dual
+            family = {primitive(_forms(u, d, m)[0]) for u in vecs}
         else:
-            vecs = set(_primitive_vectors(d, normal_bound))
-            vecs.update(extra)
-            for family in (sorted(vecs), sorted(set(extra))):
-                spans = _spans(family, [0] * len(family), d, m, CERTIFY_LIMIT)
-                if spans is not None:
+            for vs in (sorted(vecs), sorted(set(extra))):
+                family = _spans(vs, [0] * len(vs), d, m, CERTIFY_LIMIT)
+                if family is not None:
                     break
             else:
                 raise SubspaceError("candidate family too large")
-            terms = _expansion(d, m)
-            build = LatticeSubspace.from_basis
-            candidates = {
-                key: (sum(c for v, c in mult.items() if _in_span(key, v, terms)), first)
-                for key, (_, first) in spans.items()
-            }
+        counts = {}
+        for key in family:
+            forms = _forms(key, d, m)
+            counts[key] = sum(c for v, c in mult.items() if not any(sum(map(mul, w, v)) for w in forms))
 
-    best = max(c for c, _ in candidates.values())
+    best = max(counts.values())
     witness = min(
-        (build(arg) for c, arg in candidates.values() if c == best), key=lambda s: s.basis
+        (LatticeSubspace.from_normals(_forms(key, d, m)) for key, c in counts.items() if c == best),
+        key=lambda s: s.basis,
     )
     return MaxSliceResult(
         m=m,
         best_count=zero + best,
         witness=witness,
-        candidates_searched=len(candidates),
+        candidates_searched=len(counts),
         exhaustive=exhaustive,
     )

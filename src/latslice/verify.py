@@ -27,7 +27,7 @@ from .lattices import (
     project_count,
     sublattice,
 )
-from .linalg import dot, identity, is_zero, kernel_basis
+from .linalg import dot, identity, is_zero
 from .minima import minkowski_second_bounds, successive_minima
 from .slicing import _check_normal_bound, max_slice, slice_profile
 
@@ -346,7 +346,7 @@ def verify_main(body, m, normal_bound=None, seed=None) -> SlicingReport:
 
     chain.append(ChainEntry("polar-first-minimum", lam[0] >= 1, f"lambda_1*={lam[0]}"))
 
-    hbar = LatticeSubspace.from_basis(kernel_basis(list(u_vecs)))
+    hbar = LatticeSubspace.from_normals(u_vecs)
     prof = slice_profile(body, hbar)
     chain.append(
         ChainEntry(

@@ -25,8 +25,14 @@ volumes can be compared with them.  ``_volume_hrep`` (with ``_dedupe_rows``
 and ``_interval_length``) is the facet-substitution recursion that gave an
 H-rep body its volume before the body read it from its dual's hull.
 
-Max slice: ``max_slice`` builds one ``LatticeSubspace`` per m-subset
-(``_subspaces_from_vectors``) and rescans every point of K for every
+Subspaces: ``from_basis`` (with ``saturate_span``) is
+``LatticeSubspace.from_basis`` as it was before every constructor went
+through ``LatticeSubspace.from_normals``: it checks independence with
+``int_rank``, saturates the span with two kernels, takes a third kernel for
+a hyperplane's normal and puts the saturated basis in row Hermite form.
+
+Max slice: ``max_slice`` builds one ``LatticeSubspace`` per m-subset with
+this module's ``from_basis`` (``_subspaces_from_vectors``) and rescans every point of K for every
 candidate (``_count_in_subspace``), as the library did before it keyed spans
 by their Plücker vectors.  ``_spans`` (with ``_span_key``) keys every
 m-subset by the primitive vector of its m×m minors, each a ``det_int``, as
@@ -97,6 +103,8 @@ from latslice.linalg import (
     frac_vec,
     identity,
     is_zero,
+    kernel_basis,
+    row_hnf,
     scale_to_int,
     solve_rational,
     vec_neg,
@@ -844,6 +852,43 @@ def polar_volume(body) -> Fraction:
     return total / d
 
 
+def saturate_span(vectors) -> list[tuple[int, ...]]:
+    """Basis of span_Q(vectors) intersected with Z^n (the saturated sublattice)."""
+    vecs = [v for v in vectors if not is_zero(v)]
+    if not vecs:
+        return []
+    n = len(vecs[0])
+    normals = kernel_basis(vecs)
+    if not normals:
+        return [tuple(r) for r in identity(n)]
+    return kernel_basis(normals)
+
+
+def from_basis(vectors) -> LatticeSubspace:
+    """``LatticeSubspace.from_basis`` with its ``_canonical`` step written in line."""
+    vecs = [tuple(int(x) for x in v) for v in vectors]
+    if not vecs:
+        raise SubspaceError("empty basis")
+    d = len(vecs[0])
+    if any(len(v) != d for v in vecs):
+        raise SubspaceError("mixed vector lengths")
+    if d < 2:
+        raise SubspaceError(f"a lattice subspace needs d >= 2, got d = {d}")
+    if int_rank(vecs) != len(vecs):
+        raise SubspaceError("basis vectors are dependent")
+    m = len(vecs)
+    if not 1 <= m < d:
+        raise SubspaceError(f"subspace dimension must be in [1, {d-1}]")
+    cols = saturate_span(vecs)
+    normal = None
+    if m == d - 1:
+        kern = kernel_basis(list(cols))
+        normal = primitive(kern[0])
+    rows = row_hnf([tuple(c) for c in cols])
+    basis = tuple(tuple(r) for r in rows)
+    return LatticeSubspace(ambient_dim=d, m=len(basis), basis=basis, normal=normal)
+
+
 def _count_in_subspace(points, subspace) -> int:
     normals = subspace.kernel_normals()
     n = 0
@@ -861,7 +906,7 @@ def _subspaces_from_vectors(vectors, m, limit):
     for combo in itertools.combinations(vectors, m):
         if int_rank(combo) != m:
             continue
-        sub = LatticeSubspace.from_basis(combo)
+        sub = from_basis(combo)
         seen.setdefault(sub.basis, sub)
     return list(seen.values())
 

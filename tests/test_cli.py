@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from latslice import cli
 from latslice.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -167,6 +168,34 @@ def test_scan_jobs_ordering_matches_serial(capsys):
         _, serial, _ = run(capsys, *base)
         _, parallel, _ = run(capsys, *base, "--jobs", "2")
         assert serial == parallel
+
+
+def test_scan_jobs_start_no_more_workers_than_trials(capsys, monkeypatch):
+    # a fork pool starts all of its workers at the first submit, so the pool size is what gets forked
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    base = ["scan", "main", "--body", "random:3", "--trials", "2"]
+    _, serial, _ = run(capsys, *base)
+    code, out, _ = run(capsys, *base, "--jobs", "64")
+    assert (code, out, sizes) == (0, serial, [2])
+    for trials in ("1", "0"):  # one task or none runs in process
+        code, out, _ = run(capsys, "scan", "main", "--body", "random:3", "--trials", trials, "--jobs", "8")
+        assert code == 0
+    assert sizes == [2]
 
 
 def test_scan_bad_counts_exit1(capsys):
@@ -371,8 +400,13 @@ def test_python_m_entry_point(capsys):
         '{"vrep": [[[1]]]}',
         '{"vrep": [[]]}',
         '{"dim": 0, "vrep": [[1]]}',
+        '{"dim": 2.5, "hrep": [[["1","0"],"1"],[["0","1"],"1"]]}',
+        '{"dim": true, "hrep": [[["1"],"1"],[["-1"],"1"]]}',
     ],
-    ids=["vertex-int", "hrep-int", "top-string", "top-list", "dim-list", "coord-list", "vertex-empty", "dim-0"],
+    ids=[
+        "vertex-int", "hrep-int", "top-string", "top-list", "dim-list", "coord-list", "vertex-empty", "dim-0",
+        "dim-fraction", "dim-bool",
+    ],
 )
 def test_malformed_body_file_exit1(tmp_path, capsys, text):
     path = tmp_path / "body.json"

@@ -114,7 +114,7 @@ def test_minima_on_a_sublattice_match_fraction_scores(body, data):
 def test_full_rank_subspace_is_one_translate(kind):
     for d in (2, 3, 4):
         body = _body(kind, d, d)
-        whole = LatticeSubspace._canonical(d, identity(d))
+        whole = LatticeSubspace(ambient_dim=d, m=d, basis=tuple(identity(d)), normal=None)
         assert whole.kernel_normals() == ()
         assert slice_profile(body, whole).by_translate == {(): len(body.lattice_points)}
 

@@ -21,7 +21,8 @@ from latslice import (
     project_count,
     sublattice,
 )
-from latslice.linalg import det_int, dot
+from latslice.linalg import det_int, dot, kernel_basis
+import oracle
 
 
 def grid_scan(body):
@@ -183,6 +184,99 @@ def test_subspace_canonical_form_dedupes():
 
 def test_normal_scaling_irrelevant():
     assert LatticeSubspace.from_normal((2, 4)) == LatticeSubspace.from_normal((1, 2))
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: LatticeSubspace.from_normal((Fraction(1, 2), 1)), "Fraction(1, 2)"),
+        (lambda: LatticeSubspace.from_normal((2.7, 1)), "2.7"),
+        (lambda: LatticeSubspace.from_basis([(Fraction(3, 2), 0, 1)]), "Fraction(3, 2)"),
+        (lambda: project_count(cube(2), [(Fraction(1, 2), 1)]), "Fraction(1, 2)"),
+        (lambda: count_points(cube(2), by_normal=(1, 0.5)), "0.5"),
+        (lambda: LatticeSubspace.from_normals([(1, 0, 0), (0, "1", 0)]), "'1'"),
+    ],
+    ids=["normal-fraction", "normal-float", "basis-fraction", "project-count", "by-normal", "normals-string"],
+)
+def test_non_integer_subspace_entries_are_rejected(build, bad):
+    # int() used to truncate them: (1/2, 1) became the normal (0, 1)
+    with pytest.raises(SubspaceError, match="is not an integer") as info:
+        build()
+    assert bad in str(info.value)
+
+
+def test_integral_entries_of_other_types_are_kept():
+    assert LatticeSubspace.from_normal((Fraction(2), 2.0, 1)) == LatticeSubspace.from_normal((2, 2, 1))
+    assert LatticeSubspace.from_basis([(Fraction(4, 2), 0)]) == LatticeSubspace.from_basis([(1, 0)])
+    assert project_count(cube(2), [(Fraction(1), 1)]).total == project_count(cube(2), [(1, 1)]).total
+    assert count_points(cube(2), by_normal=(1.0, 0)) == count_points(cube(2), by_normal=(1, 0))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "no normal vectors"),
+        ([(1, 0, 0), (0, 1)], "mixed vector lengths"),
+        ([(1, 0, Fraction(1, 3))], "is not an integer"),
+        ([(0, 0, 0), (0, 0, 0)], "all zero"),
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 1)], "rank 3"),
+        ([(2,)], "rank 1"),
+    ],
+    ids=["empty", "ragged", "non-integral", "all-zero", "full-rank", "d1"],
+)
+def test_from_normals_rejects(rows, message):
+    with pytest.raises(SubspaceError, match=message):
+        LatticeSubspace.from_normals(rows)
+
+
+def test_from_normals_examples():
+    # two normals in R^4 cut out a plane; repeated and dependent rows change nothing
+    h = LatticeSubspace.from_normals([(1, 0, 0, 0), (0, 1, 1, 0)])
+    assert (h.m, h.normal) == (2, None)
+    assert h.basis == ((0, 1, -1, 0), (0, 0, 0, 1))
+    assert LatticeSubspace.from_normals([(1, 0, 0, 0), (0, 1, 1, 0), (2, 3, 3, 0)]) == h
+    # a hyperplane keeps its normal, made primitive from the first nonzero row
+    line = LatticeSubspace.from_normals([(0, 0), (2, -4), (-1, 2)])
+    assert line == LatticeSubspace.from_normal((1, -2))
+    assert line.normal == (1, -2) and line.basis == ((2, 1),)
+
+
+@st.composite
+def vector_lists(draw):
+    """Integer vector lists at d = 2..5 with dependent, non-saturated and repeated members."""
+    d = draw(st.integers(2, 5))
+    coord = st.integers(-3, 3)
+    vecs = []
+    for _ in range(draw(st.integers(1, d))):
+        how = draw(st.sampled_from(["free"] * 5 + ["multiple", "combination", "repeat"]))
+        if how == "free" or not vecs:
+            v = draw(st.tuples(*[coord] * d))
+        elif how == "multiple":  # a non-saturated span when it stands in for its source
+            v = tuple(draw(st.sampled_from([-3, -2, 2, 4])) * a for a in draw(st.sampled_from(vecs)))
+        elif how == "combination":
+            c = draw(st.lists(st.integers(-2, 2), min_size=len(vecs), max_size=len(vecs)))
+            v = tuple(sum(a * b[i] for a, b in zip(c, vecs)) for i in range(d))
+        else:
+            v = draw(st.sampled_from(vecs))
+        vecs.append(v)
+    return vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists())
+def test_from_basis_matches_saturating_oracle(vecs):
+    try:
+        want = oracle.from_basis(vecs)
+    except SubspaceError as exc:
+        with pytest.raises(SubspaceError) as info:
+            LatticeSubspace.from_basis(vecs)
+        assert str(info.value) == str(exc)
+        return
+    got = LatticeSubspace.from_basis(vecs)
+    assert (got.ambient_dim, got.m, got.basis, got.normal) == (want.ambient_dim, want.m, want.basis, want.normal)
+    assert list(got.basis) == oracle.row_hnf(oracle.saturate_span(vecs))
+    # the normal rows of the span cut out the same subspace
+    assert LatticeSubspace.from_normals(kernel_basis(vecs)) == want
 
 
 def test_dim_of_lattice_span():

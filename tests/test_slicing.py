@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -215,17 +216,17 @@ def _bits(vectors):
 
 
 def _weighed(spans, vectors, weights):
-    """An oracle's {key: (first subset, member set)} as _spans gives it: {key: (members' weight, first)}."""
+    """An oracle's {key: (first subset, member set)} as _spans gives it: {key: members' weight}."""
     if spans is None:
         return None
     return {
-        key: (sum(w for v, w in zip(vectors, weights) if v in members), first)
-        for key, (first, members) in spans.items()
+        key: sum(w for v, w in zip(vectors, weights) if v in members)
+        for key, (_, members) in spans.items()
     }
 
 
 def _assert_same_spans(got, want):
-    # keys, key order, first subsets and weights; dict equality alone ignores order
+    # keys, key order and weights; dict equality alone ignores order
     assert (got is None) == (want is None)
     if got is not None:
         assert list(got.items()) == list(want.items())
@@ -335,17 +336,37 @@ def test_max_slice_ties_match_oracle():
 
 def test_max_slice_builds_subspaces_only_for_ties(monkeypatch):
     built = []
-    from_basis = LatticeSubspace.from_basis.__func__
+    from_normals = LatticeSubspace.from_normals.__func__
 
-    def counting(cls, vectors):
-        built.append(vectors)
-        return from_basis(cls, vectors)
+    def counting(cls, rows):
+        built.append(rows)
+        return from_normals(cls, rows)
 
-    monkeypatch.setattr(LatticeSubspace, "from_basis", classmethod(counting))
+    monkeypatch.setattr(LatticeSubspace, "from_normals", classmethod(counting))
     res = max_slice(cube(3), 2)
     # 9 points on the 3 coordinate planes and the 6 planes x_i = ±x_j
     assert res.best_count == 9 and res.candidates_searched == 25
     assert len(built) == 9
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_families())
+def test_subspace_rebuilt_from_key_is_its_first_subsets_span(family):
+    # the witness comes from its key's forms alone and must be the span of the key's first subset
+    vectors, d, m = family
+    for key, (first, _) in oracle._spans(vectors, d, m, 10**6).items():
+        assert LatticeSubspace.from_normals(slicing._forms(key, d, m)) == oracle.from_basis(first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda d: st.tuples(*[st.integers(-3, 3)] * d)).filter(any))
+def test_normal_read_as_key_gives_its_hyperplanes_key(u):
+    # the m = d - 1 fallback keys each normal by its one form, the Hodge dual
+    d = len(u)
+    key = primitive(slicing._forms(u, d, d - 1)[0])
+    h = LatticeSubspace.from_normal(u)
+    assert key == oracle._span_key(h.basis, tuple(itertools.combinations(range(d), d - 1)))
+    assert LatticeSubspace.from_normals(slicing._forms(key, d, d - 1)) == h
 
 
 def test_max_slice_normalizes_each_direction_once(monkeypatch):
