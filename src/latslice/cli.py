@@ -41,7 +41,18 @@ EXIT_INPUT = 1
 EXIT_MATH = 2
 
 
+def _parse_vector(text):
+    vec = []
+    for tok in text.split(","):
+        try:
+            vec.append(int(tok))
+        except ValueError:
+            raise LatsliceError(f"bad entry {tok.strip()!r} in --normal") from None
+    return tuple(vec)
+
+
 def _parse_subspace(text, d) -> LatticeSubspace:
+    """A --normal value: a hyperplane normal, or basis vectors joined by ';'."""
     t = text.strip()
     if t.startswith("u:"):
         t = t[2:]
@@ -50,9 +61,9 @@ def _parse_subspace(text, d) -> LatticeSubspace:
         for chunk in t.split(";"):
             chunk = chunk.strip().strip("()")
             if chunk:
-                vecs.append(tuple(int(x) for x in chunk.split(",")))
+                vecs.append(_parse_vector(chunk))
         return LatticeSubspace.from_basis(vecs)
-    u = tuple(int(x) for x in t.split(","))
+    u = _parse_vector(t)
     if len(u) != d:
         raise LatsliceError(f"normal has length {len(u)}, body dimension is {d}")
     return LatticeSubspace.from_normal(u)

@@ -222,9 +222,11 @@ class LatticeSubspace:
         return tuple(kernel_basis(list(self.basis)))
 
     def spec(self) -> str:
+        """The --normal text of this subspace; a one-column basis ends in ';' to read back as a line."""
         if self.normal is not None:
             return "u:" + ",".join(str(x) for x in self.normal)
-        return ";".join(",".join(str(x) for x in col) for col in self.basis)
+        cols = ";".join(",".join(str(x) for x in col) for col in self.basis)
+        return cols + ";" if self.m == 1 else cols
 
 
 # -- enumeration core -----------------------------------------------------------

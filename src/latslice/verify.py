@@ -29,7 +29,7 @@ from .lattices import (
 )
 from .linalg import dot, identity, is_zero
 from .minima import minkowski_second_bounds, successive_minima
-from .slicing import _check_normal_bound, max_slice, slice_profile
+from .slicing import MaxSliceResult, _check_normal_bound, max_slice, slice_profile
 
 __all__ = [
     "PickQuantities",
@@ -122,16 +122,16 @@ class SlicingReport:
     d: int
     m: int
     count_total: int
-    max_slice_count: int | None
-    max_slice_witness: str | None
-    max_slice_exhaustive: bool | None
-    candidates_searched: int | None
-    volume: Fraction | None
-    volume_polar: Fraction | None
-    mahler: Fraction | None
-    observed_constant_power: Fraction | None
-    observed_constant: float | None
-    chain: tuple[ChainEntry, ...]
+    max_slice_count: int | None = None
+    max_slice_witness: str | None = None
+    max_slice_exhaustive: bool | None = None
+    candidates_searched: int | None = None
+    volume: Fraction | None = None
+    volume_polar: Fraction | None = None
+    mahler: Fraction | None = None
+    observed_constant_power: Fraction | None = None
+    observed_constant: float | None = None
+    chain: tuple[ChainEntry, ...] = ()
     hypothesis_violated: bool = False
     seed: int | None = None
 
@@ -143,35 +143,44 @@ class SlicingReport:
         return [e.name for e in self.chain if not e.passed]
 
 
-def _observed(count, best, vol, d, m):
-    power = Fraction(count) ** d / (Fraction(best) ** d * Fraction(vol) ** (d - m))
-    return power, float(power) ** (1.0 / d)
-
-
 def _minkowski_second_entry(name, lambdas, vol) -> ChainEntry:
     """Minkowski's second theorem on Z^d: (1/d!) prod 2/lambda_i <= vol <= prod 2/lambda_i."""
     lhs, rhs = minkowski_second_bounds(lambdas)
     return ChainEntry(name, lhs <= vol <= rhs, f"{lhs} <= {vol} <= {rhs}")
 
 
-def _hypothesis_report(kind, body, d, m, count, seed):
+def _hypothesis_report(kind, body, m, count, seed):
+    chain = (ChainEntry("hypothesis", False, "dim(K ∩ Z^d) < d"),)
+    return SlicingReport(
+        kind, body.name, body.dim, m, count, chain=chain, hypothesis_violated=True, seed=seed
+    )
+
+
+def _report(kind, body, m, count, ms, vol, chain, seed, volume_polar=None) -> SlicingReport:
+    """The report every chain ends on: its max slice and observed constant.
+
+    The observed power #K^d / (best^d vol(K)^(d-m)) is the least C(d)^d for
+    which #K <= C(d) best vol(K)^((d-m)/d) holds, best being the reported
+    max slice count.
+    """
+    d = body.dim
+    power = Fraction(count) ** d / (Fraction(ms.best_count) ** d * Fraction(vol) ** (d - m))
     return SlicingReport(
         kind=kind,
         body=body.name,
         d=d,
         m=m,
         count_total=count,
-        max_slice_count=None,
-        max_slice_witness=None,
-        max_slice_exhaustive=None,
-        candidates_searched=None,
-        volume=None,
-        volume_polar=None,
-        mahler=None,
-        observed_constant_power=None,
-        observed_constant=None,
-        chain=(ChainEntry("hypothesis", False, "dim(K ∩ Z^d) < d"),),
-        hypothesis_violated=True,
+        max_slice_count=ms.best_count,
+        max_slice_witness=ms.witness.spec(),
+        max_slice_exhaustive=ms.exhaustive,
+        candidates_searched=ms.candidates_searched,
+        volume=vol,
+        volume_polar=volume_polar,
+        mahler=None if volume_polar is None else Fraction(vol) * volume_polar,
+        observed_constant_power=power,
+        observed_constant=float(power) ** (1.0 / d),
+        chain=tuple(chain),
         seed=seed,
     )
 
@@ -187,7 +196,7 @@ def verify_dim2(body, normal_bound=None, seed=None) -> SlicingReport:
     pts = body.lattice_points
     count = len(pts)
     if dim_of_lattice_span(body) < 2:
-        return _hypothesis_report("dim2", body, 2, 1, count, seed)
+        return _hypothesis_report("dim2", body, 1, count, seed)
     hull_pts = graham_hull(pts)
     pick = pick_quantities(hull_pts)
     chain = [ChainEntry("pick-identity", pick.identity_holds, f"A={pick.A} I={pick.I} B={pick.B}")]
@@ -206,25 +215,7 @@ def verify_dim2(body, normal_bound=None, seed=None) -> SlicingReport:
     lhs = Fraction(count) ** 2
     rhs = 16 * Fraction(ms.best_count) ** 2 * vol
     chain.append(ChainEntry("slicing-inequality", lhs <= rhs, f"{lhs} <= {rhs}"))
-    power, disp = _observed(count, ms.best_count, vol, 2, 1)
-    return SlicingReport(
-        kind="dim2",
-        body=body.name,
-        d=2,
-        m=1,
-        count_total=count,
-        max_slice_count=ms.best_count,
-        max_slice_witness=ms.witness.spec(),
-        max_slice_exhaustive=ms.exhaustive,
-        candidates_searched=ms.candidates_searched,
-        volume=vol,
-        volume_polar=None,
-        mahler=None,
-        observed_constant_power=power,
-        observed_constant=disp,
-        chain=tuple(chain),
-        seed=seed,
-    )
+    return _report("dim2", body, 1, count, ms, vol, chain, seed)
 
 
 # -- unconditional chain --------------------------------------------------------------
@@ -237,7 +228,7 @@ def verify_unconditional(body, seed=None) -> SlicingReport:
         raise SymmetryError("body is not unconditional")
     count = len(body.lattice_points)
     if dim_of_lattice_span(body) < d:
-        return _hypothesis_report("unconditional", body, d, d - 1, count, seed)
+        return _hypothesis_report("unconditional", body, d - 1, count, seed)
     axes = identity(d)
     coord_profiles = []
     dominance = True
@@ -284,25 +275,8 @@ def verify_unconditional(body, seed=None) -> SlicingReport:
     vol = volume(body).value
     chain.append(_minkowski_second_entry("minkowski-second", sm.lambdas, vol))
     best = max(p.central for p in coord_profiles)
-    power, disp = _observed(count, best, vol, d, d - 1)
-    return SlicingReport(
-        kind="unconditional",
-        body=body.name,
-        d=d,
-        m=d - 1,
-        count_total=count,
-        max_slice_count=best,
-        max_slice_witness=f"u:{','.join('1' if j == i_star else '0' for j in range(d))}",
-        max_slice_exhaustive=False,
-        candidates_searched=d,
-        volume=vol,
-        volume_polar=None,
-        mahler=None,
-        observed_constant_power=power,
-        observed_constant=disp,
-        chain=tuple(chain),
-        seed=seed,
-    )
+    ms = MaxSliceResult(d - 1, best, coord_profiles[i_star].subspace, d, False)
+    return _report("unconditional", body, d - 1, count, ms, vol, chain, seed)
 
 
 # -- general co-dimensional chain -------------------------------------------------------
@@ -319,7 +293,7 @@ def verify_main(body, m, normal_bound=None, seed=None) -> SlicingReport:
     points = body.lattice_points
     count = len(points)
     if dim_of_lattice_span(body) < d:
-        return _hypothesis_report("main", body, d, m, count, seed)
+        return _hypothesis_report("main", body, m, count, seed)
     polar = body.polar()
     sm = successive_minima(polar)
     lam = sm.lambdas
@@ -366,27 +340,8 @@ def verify_main(body, m, normal_bound=None, seed=None) -> SlicingReport:
     vol = volume(body).value
     vol_polar = polar_volume(body).value
     chain.append(_minkowski_second_entry("minkowski-second-polar", lam, vol_polar))
-    mahler = Fraction(vol) * vol_polar
     ms = max_slice(body, m, normal_bound)
-    power, disp = _observed(count, ms.best_count, vol, d, m)
-    return SlicingReport(
-        kind="main",
-        body=body.name,
-        d=d,
-        m=m,
-        count_total=count,
-        max_slice_count=ms.best_count,
-        max_slice_witness=ms.witness.spec(),
-        max_slice_exhaustive=ms.exhaustive,
-        candidates_searched=ms.candidates_searched,
-        volume=vol,
-        volume_polar=vol_polar,
-        mahler=mahler,
-        observed_constant_power=power,
-        observed_constant=disp,
-        chain=tuple(chain),
-        seed=seed,
-    )
+    return _report("main", body, m, count, ms, vol, chain, seed, vol_polar)
 
 
 # -- packing and covering lemmas -----------------------------------------------------

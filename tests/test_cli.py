@@ -54,6 +54,18 @@ def test_slice_max_search(capsys):
     assert "best: 9" in out
 
 
+@pytest.mark.parametrize("body, d", [("cube:3", 3), ("cross:4", 4)])
+def test_slice_witness_reads_back_as_its_subspace(capsys, body, d):
+    # a line's witness ends in ';', so --normal reads it as a basis, not as a normal
+    for m in range(1, d):
+        code, out, _ = run(capsys, "slice", "--body", body, "--m", str(m), "--format", "json")
+        assert code == 0
+        res = json.loads(out)
+        assert res["witness"].endswith(";") == (m == 1)
+        code, out, _ = run(capsys, "slice", "--body", body, "--normal", res["witness"])
+        assert (code, out) == (0, f"{res['best_count']}\n"), (m, res["witness"])
+
+
 def test_verify_main_json(capsys):
     code, out, _ = run(
         capsys, "verify", "main", "--body", "cross:4", "--m", "3", "--format", "json"
@@ -124,6 +136,26 @@ def test_malformed_rational_exit1(capsys):
 def test_bad_subspace_exit1(capsys):
     code, _, err = run(capsys, "slice", "--body", "cube:2", "--normal", "0,0")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (("slice", "--body", "cube:3", "--normal", "1.5,0,0"), "1.5"),
+        (("brunn", "--body", "cube:3", "--normal", "1,x,0"), "x"),
+        (("gauss", "--body", "cube:2", "--normal", "1,0;0,1/2"), "1/2"),
+        (("slice", "--body", "cube:3", "--normal", "u:"), ""),
+    ],
+)
+def test_non_integer_normal_entry_exit1(capsys, argv, entry):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad entry {entry!r} in --normal\n"
+
+
+def test_integral_normal_entries_still_parse(capsys):
+    assert run(capsys, "slice", "--body", "cube:3", "--normal", "2,0,0") == (0, "9\n", "")
+    assert run(capsys, "slice", "--body", "cube:3", "--normal", "u:0,-2,0") == (0, "9\n", "")
 
 
 def test_usage_error_exit1(capsys):

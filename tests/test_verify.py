@@ -325,6 +325,56 @@ def test_report_dict_exact_strings():
     assert isinstance(data["observed_constant"], float)
 
 
+_HALF_BOX = box([Fraction(1, 2), 3])  # K ∩ Z^2 lies on a line
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        lambda b: verify_dim2(b, seed=7),
+        lambda b: verify_unconditional(b, seed=7),
+        lambda b: verify_main(b, 1, seed=7),
+    ],
+    ids=["dim2", "unconditional", "main"],
+)
+def test_hypothesis_violated_report_bytes(chain):
+    rep = chain(_HALF_BOX)
+    assert report_to_dict(rep) == {
+        "kind": rep.kind,
+        "body": "box:1/2,3",
+        "d": 2,
+        "m": 1,
+        "count": 7,
+        "hypothesis_violated": True,
+        "chain": [{"name": "hypothesis", "passed": False, "detail": "dim(K ∩ Z^d) < d"}],
+        "seed": 7,
+    }
+    assert report_csv_row(rep) == ["7", "2", "1", "7", "", "", "", "0", "hypothesis-violated"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_every_chain_reports_the_observed_power_of_its_fields(d):
+    bodies = [cube(d), cross(d), box([Fraction(3, 2), 2, 1, Fraction(5, 2)][:d])]
+    for body in bodies:
+        reports = [verify_unconditional(body)] + [verify_main(body, m) for m in range(1, d)]
+        if d == 2:
+            reports.append(verify_dim2(body))
+        for rep in reports:
+            assert rep.ok, (body.name, rep.kind, rep.failures())
+            power = Fraction(rep.count_total) ** d / (
+                Fraction(rep.max_slice_count) ** d * rep.volume ** (d - rep.m)
+            )
+            assert rep.observed_constant_power == power, (body.name, rep.kind, rep.m)
+            assert rep.observed_constant == float(power) ** (1.0 / d)
+            if rep.kind == "main":
+                assert rep.mahler == rep.volume * rep.volume_polar
+            else:
+                assert rep.volume_polar is None and rep.mahler is None
+    # cube(d): 3^d points, best m-slice 3^m, volume 2^d
+    for m in range(1, d):
+        assert verify_main(cube(d), m).observed_constant_power == Fraction(3, 2) ** (d * (d - m))
+
+
 def test_report_csv_row_shape():
     rep = verify_dim2(cube(2), seed=17)
     row = report_csv_row(rep)
