@@ -20,7 +20,7 @@ from .errors import LatsliceError
 from .hull import graham_hull
 from .lattices import LatticeSubspace, count_points, enumerate_points
 from .minima import successive_minima
-from .slicing import brunn_check, max_slice, slice_count, slice_profile
+from .slicing import BrunnReport, max_slice, slice_count, slice_profile
 from .verify import (
     frac_str,
     gauss_scaling,
@@ -61,7 +61,12 @@ def _parse_subspace(text, d) -> LatticeSubspace:
         for chunk in t.split(";"):
             chunk = chunk.strip().strip("()")
             if chunk:
-                vecs.append(_parse_vector(chunk))
+                v = _parse_vector(chunk)
+                if len(v) != d:
+                    raise LatsliceError(
+                        f"basis vector {chunk!r} has length {len(v)}, body dimension is {d}"
+                    )
+                vecs.append(v)
         return LatticeSubspace.from_basis(vecs)
     u = _parse_vector(t)
     if len(u) != d:
@@ -193,7 +198,7 @@ def _cmd_brunn(args):
         raise LatsliceError("brunn needs --normal")
     sub = _parse_subspace(args.normal, body.dim)
     prof = slice_profile(body, sub)
-    rep = brunn_check(body, sub)
+    rep = BrunnReport.from_profile(prof)
     payload = _profile_payload(sub, prof)
     payload.update(
         {

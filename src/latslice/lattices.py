@@ -13,8 +13,9 @@ box's two sides.  One of two closers reads it:
   lexicographic order.  A prefix with no more columns than bounding lines
   scans every row at every column; a wider one walks the two envelopes
   piece by piece, one floor division per side per column, with the line
-  sets sorted at the first wide prefix.  Listings, ``by_normal`` levels and
-  ``ConvexBody.lattice_points`` read it.
+  sets sorted at the first wide prefix.  It serves listings only: its one
+  reader is ``_listing``, behind ``ConvexBody.lattice_points``,
+  ``enumerate_points`` and the ``by_normal`` levels of ``count_points``.
 - ``count_solutions`` counts: it puts the axes in order of box width, so the
   walk covers the narrowest and the two widest form the sections, and sums
   each section in closed form, as floor sums over the pieces on which one
@@ -27,16 +28,15 @@ Every system built from a body is origin-symmetric: the body is symmetric
 by construction, the lattice passes through 0 and the box is symmetric.
 So the readers here walk only half of it (``half=True``).  The listing
 takes the runs whose points are >=lex 0, the zero run ((0, ..., 0), 0, hi0)
-first; the rest is the mirror z -> -z: levels add each point's level and
-its negation, and a listing emits the mirrored runs (-p, -hi, -lo) in
-reverse order, the zero run over [-hi0, hi0], then the half runs.  The
-count takes the sections at the prefixes >=lex 0: twice those at nonzero
-prefixes plus the zero-prefix one, which is its own mirror.  Pick's count
-on an arbitrary polygon keeps the full walk.
+first; the rest is the mirror z -> -z: it emits the mirrored runs
+(-p, -hi, -lo) in reverse order, the zero run over [-hi0, hi0], then the
+half runs.  The count takes the sections at the prefixes >=lex 0: twice
+those at nonzero prefixes plus the zero-prefix one, which is its own
+mirror.  Pick's count on an arbitrary polygon keeps the full walk.
 
 K ∩ Z^d at scale 1 is listed once per body and cached as
 ``ConvexBody.lattice_points``; ``enumerate_points`` copies it for that
-lattice and scale, and ``count_points`` never lists.
+lattice and scale, and ``count_points`` lists only for a leveled count.
 
 Every lattice subspace H comes from ``LatticeSubspace.from_normals``: the
 integer kernel of its normal rows is a basis of Z^d ∩ H, put in row
@@ -46,6 +46,7 @@ passes it the kernel of its vectors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt, lcm
@@ -632,25 +633,16 @@ def count_points(body, lattice=None, by_normal=None, scale=Fraction(1)) -> Point
     """Cardinality of body ∩ lattice, optionally leveled by an integer form.
 
     The total sums the 2-D sections of the half walk in closed form, the
-    walk covering the narrowest box axes; a leveled count walks the half
-    runs in their lex order one point at a time, each half point
-    adding its level l and its mirror's -l.  The point set is never listed.
+    walk covering the narrowest box axes, and never lists a point; a
+    leveled count labels each point of the listing by its level.
     """
     lat = None if _standard(body, lattice) else lattice
-    rows, box = _system(body, lat, scale)
     if by_normal is None:
-        return PointCount(total=count_solutions(rows, box, half=True))
-    runs = _runs(rows, box, half=True)
+        return PointCount(total=count_solutions(*_system(body, lat, scale), half=True))
     u = _integral(by_normal)
     if lat is not None:
         u = tuple(dot(u, col) for col in lat.basis)  # u . (B y) = (B^T u) . y
-    levels: dict[int, int] = {}
-    for prefix, lo, hi in runs:
-        for x in range(lo, hi + 1):
-            lv = dot(u, prefix + (x,))
-            levels[lv] = levels.get(lv, 0) + 1
-            levels[-lv] = levels.get(-lv, 0) + 1
-    levels[0] -= 1  # the origin is its own mirror
+    levels = Counter(dot(u, y) for y in _listing(body, lat, scale))
     return PointCount(total=sum(levels.values()), by_level=levels)
 
 

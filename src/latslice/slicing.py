@@ -101,6 +101,22 @@ class BrunnReport:
     bound: Fraction
     holds: bool
 
+    @classmethod
+    def from_profile(cls, prof) -> "BrunnReport":
+        """The dominance check read off one slice profile."""
+        m = prof.subspace.m
+        central = prof.central
+        max_count = prof.max_count
+        return cls(
+            m=m,
+            central=central,
+            max_translate_count=max_count,
+            witness_translate=prof.max_translate,
+            min_ratio=Fraction(central, max_count),
+            bound=Fraction(1, 9**m),
+            holds=central * 9**m >= max_count,
+        )
+
 
 def _check_ambient(body, subspace):
     if subspace.ambient_dim != body.dim:
@@ -136,20 +152,7 @@ def slice_profile(body, subspace) -> SliceProfile:
 
 def brunn_check(body, subspace) -> BrunnReport:
     """Central-slice dominance: central * 9^m >= every parallel translate count."""
-    prof = slice_profile(body, subspace)
-    m = subspace.m
-    central = prof.central
-    max_count = prof.max_count
-    bound = Fraction(1, 9**m)
-    return BrunnReport(
-        m=m,
-        central=central,
-        max_translate_count=max_count,
-        witness_translate=prof.max_translate,
-        min_ratio=Fraction(central, max_count),
-        bound=bound,
-        holds=central * 9**m >= max_count,
-    )
+    return BrunnReport.from_profile(slice_profile(body, subspace))
 
 
 # -- max slice -----------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
@@ -24,12 +25,11 @@ from .lattices import (
     count_solutions,
     dim_of_lattice_span,
     enumerate_points,
-    project_count,
     sublattice,
 )
 from .linalg import dot, identity, is_zero
 from .minima import minkowski_second_bounds, successive_minima
-from .slicing import MaxSliceResult, _check_normal_bound, max_slice, slice_profile
+from .slicing import MaxSliceResult, _check_normal_bound, max_slice
 
 __all__ = [
     "PickQuantities",
@@ -224,24 +224,25 @@ def verify_dim2(body, normal_bound=None, seed=None) -> SlicingReport:
 def verify_unconditional(body, seed=None) -> SlicingReport:
     """Coordinate-dominance chain for unconditional bodies."""
     d = body.dim
+    if d < 2:
+        raise LatsliceError(f"the unconditional chain needs d >= 2, got d = {d}")
     if not body.is_unconditional():
         raise SymmetryError("body is not unconditional")
-    count = len(body.lattice_points)
+    points = body.lattice_points
+    count = len(points)
     if dim_of_lattice_span(body) < d:
         return _hypothesis_report("unconditional", body, d - 1, count, seed)
-    axes = identity(d)
-    coord_profiles = []
-    dominance = True
-    details = []
-    for i, u in enumerate(axes):
-        prof = slice_profile(body, LatticeSubspace.from_normal(u))
-        coord_profiles.append(prof)
-        if prof.central != prof.max_count:
-            dominance = False
-        details.append(f"e{i + 1}: central={prof.central} max={prof.max_count}")
-    chain = [ChainEntry("coordinate-dominance", dominance, "; ".join(details))]
+    # z lies in the translate e_i^⊥ + z_i e_i, so coordinate i labels the translates of e_i^⊥
+    profiles = [Counter(col) for col in zip(*points)]
+    centrals = [prof[0] for prof in profiles]
+    tops = [max(prof.values()) for prof in profiles]
+    details = "; ".join(
+        f"e{i + 1}: central={c} max={t}" for i, (c, t) in enumerate(zip(centrals, tops))
+    )
+    chain = [ChainEntry("coordinate-dominance", centrals == tops, details)]
 
     sm = successive_minima(body)
+    axes = identity(d)
     coord_gauges = [body.gauge(u) for u in axes]
     gauges = sorted(coord_gauges)
     chain.append(
@@ -256,7 +257,7 @@ def verify_unconditional(body, seed=None) -> SlicingReport:
     )
     lam_d = sm.lambdas[-1]
     i_star = max(range(d), key=lambda i: (coord_gauges[i], -i))
-    central_star = coord_profiles[i_star].central
+    central_star = centrals[i_star]
     factor = 2 * floor(Fraction(1) / lam_d) + 1
     chain.append(
         ChainEntry(
@@ -274,8 +275,7 @@ def verify_unconditional(body, seed=None) -> SlicingReport:
     )
     vol = volume(body).value
     chain.append(_minkowski_second_entry("minkowski-second", sm.lambdas, vol))
-    best = max(p.central for p in coord_profiles)
-    ms = MaxSliceResult(d - 1, best, coord_profiles[i_star].subspace, d, False)
+    ms = MaxSliceResult(d - 1, max(centrals), LatticeSubspace.from_normal(axes[i_star]), d, False)
     return _report("unconditional", body, d - 1, count, ms, vol, chain, seed)
 
 
@@ -305,36 +305,26 @@ def verify_main(body, m, normal_bound=None, seed=None) -> SlicingReport:
             "lambda*=" + ",".join(str(x) for x in lam),
         )
     ]
+    # one pass labels each point z by v_i . z, one column per v_i
+    cols = [[dot(v, z) for z in points] for v in vs]
     # |v_i . z| is an integer, so it is at most lambda_i* exactly when at most its floor
-    contain = all(
-        abs(dot(v, z)) <= f for v, f in zip(vs, map(floor, lam)) for z in points
-    )
+    contain = all(max(map(abs, col)) <= floor(l) for col, l in zip(cols, lam))
     chain.append(ChainEntry("polar-containment", contain, "|v_i . z| <= lambda_i* on K ∩ Z^d"))
 
-    u_vecs = vs[: d - m]
-    pc = project_count(body, u_vecs).total
+    # z, z' lie in one translate of H̄ = {x : v_i . x = 0 for i <= d - m}
+    # exactly when their first d - m labels agree
+    translates = Counter(zip(*cols[: d - m]))
+    pc = len(translates)
+    central, top = translates[(0,) * (d - m)], max(translates.values())
     bound = 1
     for l in lam[: d - m]:
         bound *= 2 * floor(l) + 1
     chain.append(ChainEntry("projection-bound", pc <= bound, f"{pc} <= {bound}"))
 
     chain.append(ChainEntry("polar-first-minimum", lam[0] >= 1, f"lambda_1*={lam[0]}"))
-
-    hbar = LatticeSubspace.from_normals(u_vecs)
-    prof = slice_profile(body, hbar)
+    chain.append(ChainEntry("factorization", count <= pc * top, f"#K={count} <= {pc} * {top}"))
     chain.append(
-        ChainEntry(
-            "factorization",
-            count <= pc * prof.max_count,
-            f"#K={count} <= {pc} * {prof.max_count}",
-        )
-    )
-    chain.append(
-        ChainEntry(
-            "translate-brunn",
-            prof.central * 9**m >= prof.max_count,
-            f"central={prof.central} max={prof.max_count} m={m}",
-        )
+        ChainEntry("translate-brunn", central * 9**m >= top, f"central={central} max={top} m={m}")
     )
 
     vol = volume(body).value

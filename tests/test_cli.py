@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from latslice import cli
+from latslice import cli, slicing
 from latslice.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -99,6 +99,26 @@ def test_brunn_json_profile_shape(capsys):
     assert data["normal"] == [1, 1, 1]
     assert data["levels"] == {"-1": 3, "0": 1, "1": 3}
     assert data["holds"] is True
+
+
+def test_brunn_labels_the_points_once(capsys, monkeypatch):
+    calls = []
+    original = slicing.slice_profile
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(slicing, "slice_profile", counted)
+    monkeypatch.setattr(cli, "slice_profile", counted)
+    assert run(capsys, "brunn", "--body", "cube:2", "--normal", "1,1") == (
+        0,
+        "levels: (-2,):1 (-1,):2 (0,):3 (1,):2 (2,):1\n"
+        "central: 3  max translate: 3\n"
+        "min ratio: 1  bound: 1/9  holds: True\n",
+        "",
+    )
+    assert len(calls) == 1
 
 
 def test_pick_subcommand(capsys):
@@ -403,6 +423,27 @@ def test_main_chain_on_d1_body_exit1(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "needs d >= 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "unconditional", "--body", "box:2"),
+        ("verify", "unconditional", "--body", "box:1/2"),
+        ("scan", "unconditional", "--body", "random-unconditional:1", "--trials", "2"),
+    ],
+    ids=["verify-d1", "verify-d1-no-lattice-span", "scan-d1"],
+)
+def test_unconditional_chain_on_d1_body_exit1(capsys, argv):
+    assert run(capsys, *argv) == (1, "", "error: the unconditional chain needs d >= 2, got d = 1\n")
+
+
+@pytest.mark.parametrize("command", ["slice", "brunn", "gauss"])
+@pytest.mark.parametrize("normal, vector", [("1,0;0,1", "1,0"), ("1,0;", "1,0"), ("1,0,0;0,1", "0,1")])
+def test_normal_basis_vector_of_wrong_length_exit1(capsys, command, normal, vector):
+    code, out, err = run(capsys, command, "--body", "cube:3", "--normal", normal)
+    assert (code, out) == (1, "")
+    assert err == f"error: basis vector {vector!r} has length 2, body dimension is 3\n"
 
 
 def test_slice_on_d1_body_exit1(capsys):

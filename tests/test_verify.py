@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from latslice import Lattice, LatticeSubspace, box, cross, cube, from_vertices, minima, verify
 from latslice.errors import DegenerateBodyError, SymmetryError
+from latslice.lattices import project_count
+from latslice.linalg import identity
 from latslice.minima import minkowski_second_check
+from latslice.slicing import slice_profile
 from latslice.verify import (
+    ChainEntry,
     PolygonError,
     covering_lemma_check,
     gauss_scaling,
@@ -211,6 +216,59 @@ def test_main_random_suite_small():
             rep = verify_main(body, m)
             assert not rep.hypothesis_violated
             assert rep.ok, (seed, d, m, rep.failures())
+
+
+# -- translate counts against the slice-profile oracle ---------------------------------
+
+
+def _closed_form_bodies(d):
+    return [cube(d), cross(d), box([Fraction(3, 2), 2, 1, Fraction(5, 2)][:d])]
+
+
+def _translate_entries(body, m):
+    """The projection, factorization and translate-Brunn entries, rebuilt from H̄ itself."""
+    d = body.dim
+    sm = minima.successive_minima(body.polar())
+    u_vecs = sm.directional_basis[: d - m]
+    pc = project_count(body, u_vecs).total
+    prof = slice_profile(body, LatticeSubspace.from_normals(u_vecs))
+    count = len(body.lattice_points)
+    bound = 1
+    for l in sm.lambdas[: d - m]:
+        bound *= 2 * math.floor(l) + 1
+    return {
+        "projection-bound": (pc <= bound, f"{pc} <= {bound}"),
+        "factorization": (count <= pc * prof.max_count, f"#K={count} <= {pc} * {prof.max_count}"),
+        "translate-brunn": (
+            prof.central * 9**m >= prof.max_count,
+            f"central={prof.central} max={prof.max_count} m={m}",
+        ),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_main_translate_entries_match_the_profile_oracle(d):
+    bodies = _closed_form_bodies(d) + [random_symmetric_body(d, seed) for seed in range(8 if d < 4 else 3)]
+    for body in bodies:
+        for m in range(1, d):
+            rep = verify_main(body, m)
+            assert not rep.hypothesis_violated, body.name
+            got = {e.name: (e.passed, e.detail) for e in rep.chain}
+            for name, entry in _translate_entries(body, m).items():
+                assert got[name] == entry, (body.name, m, name)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_unconditional_dominance_entry_matches_the_profile_oracle(d):
+    bodies = _closed_form_bodies(d) + [random_unconditional_body(d, seed) for seed in range(12)]
+    for body in bodies:
+        rep = verify_unconditional(body)
+        assert not rep.hypothesis_violated, body.name
+        profs = [slice_profile(body, LatticeSubspace.from_normal(e)) for e in identity(d)]
+        detail = "; ".join(f"e{i + 1}: central={p.central} max={p.max_count}" for i, p in enumerate(profs))
+        passed = all(p.central == p.max_count for p in profs)
+        assert _entry(rep, "coordinate-dominance") == ChainEntry("coordinate-dominance", passed, detail)
+        assert rep.max_slice_count == max(p.central for p in profs)
 
 
 @pytest.mark.parametrize(
