@@ -213,22 +213,14 @@ class ConvexBody:
         return h
 
     def is_unconditional(self) -> bool:
-        """Invariance under every single coordinate sign flip."""
-        if self.rows is not None:
-            table = {a: b for a, b in self.rows}
-            for a, b in self.rows:
-                for i in range(self.dim):
-                    flipped = a[:i] + (-a[i],) + a[i + 1 :]
-                    if table.get(flipped) != b and table.get(vec_neg(flipped)) != b:
-                        return False
-            return True
-        vert_set = set(self.verts)
-        for v in self.verts:
-            for i in range(self.dim):
-                flipped = v[:i] + (-v[i],) + v[i + 1 :]
-                if flipped not in vert_set and not self.contains(flipped):
-                    return False
-        return True
+        """Invariance under every single coordinate sign flip.
+
+        Each facet row a . x <= b has its flips (one entry of a negated) among the facet rows.
+        """
+        table = dict(self.facet_rows)
+        return all(
+            table.get(a[:i] + (-a[i],) + a[i + 1 :]) == b for a, b in table.items() for i in range(self.dim)
+        )
 
     # -- constructions -------------------------------------------------------
 

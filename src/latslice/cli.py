@@ -226,6 +226,8 @@ def _cmd_pick(args):
     if body.dim != 2:
         raise LatsliceError("pick needs a 2-dimensional body")
     hull_pts = graham_hull(enumerate_points(body))
+    if len(hull_pts) < 3:
+        raise LatsliceError(f"the lattice points of {body.name} are collinear, so their hull has no area")
     q = pick_quantities(hull_pts)
     payload = {
         "body": body.name,

@@ -3,7 +3,8 @@
 Facet enumeration is brute force over d-subsets with a membership skip
 (subsets lying inside an already-found facet are never re-solved), which
 is plenty at desk scale and trivially exact.  Dimension 2 short-circuits
-to a monotone-chain scan.  Above, one loop walks the (d-1)-point
+to a monotone-chain scan and reads each facet off one of its
+counterclockwise edges.  Above, one loop walks the (d-1)-point
 prefixes and closes each with every later point.  In 3-D a prefix is one
 edge, and each closing point's plane (the edge cross product) and side
 test run in line on ints; for d >= 4 each subset's plane comes from
@@ -65,18 +66,20 @@ def graham_hull(points):
 
 
 def _facets_2d(pts):
+    """Facets off graham_hull's counterclockwise edges (p, q).
+
+    a is q - p turned clockwise (outward) over its gcd, and b = a . p.
+    """
     hull = graham_hull(pts)
     if len(hull) < 3:
         return []
     facets = []
-    for i in range(len(hull)):
-        p, q = hull[i], hull[(i + 1) % len(hull)]
-        hp = hyperplane_through([p, q])
-        a, b = hp
-        if dot(a, hull[(i + 2) % len(hull)]) > b:
-            a, b = tuple(-x for x in a), -b
-        active = tuple(k for k, pt in enumerate(pts) if dot(a, pt) == b)
-        facets.append(Facet(a, b, active))
+    for p, q in zip(hull, hull[1:] + hull[:1]):
+        g = gcd(q[0] - p[0], q[1] - p[1])
+        ax, ay = (q[1] - p[1]) // g, (p[0] - q[0]) // g
+        b = ax * p[0] + ay * p[1]
+        active = tuple(k for k, (x, y) in enumerate(pts) if ax * x + ay * y == b)
+        facets.append(Facet((ax, ay), b, active))
     return facets
 
 

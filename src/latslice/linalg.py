@@ -251,22 +251,12 @@ def hyperplane_through(points):
     """Primitive integer (a, b) with a . p = b for all points, or None.
 
     Points must be integer vectors; None when they are affinely dependent.
-    In R^2 the plane is closed form: a is the edge q - p turned a quarter
-    turn, made primitive, and b = a . p; b is an integer combination of a,
-    so gcd(a, b) = gcd(a).  Other d take the generalized cross product
-    (homogeneous signed cofactor minors) of the d x (d+1) system rows
-    (p_i, -1), which is the kernel generator when the points affinely
-    span.  Both give the same (a, b): primitive, with the first nonzero
-    entry of a positive.  (``hull.hull_facets`` takes 3-D planes in line.)
+    The plane is the generalized cross product (homogeneous signed cofactor
+    minors) of the d x (d+1) system rows (p_i, -1), which is the kernel
+    generator when the points affinely span, made primitive with the first
+    nonzero entry of a positive.  (``hull.hull_facets`` takes 2-D and 3-D
+    planes in line, so its d >= 4 walk is the caller here.)
     """
-    p = points[0]
-    if len(p) == 2:
-        q = points[1]
-        a = (q[1] - p[1], p[0] - q[0])
-        if not any(a):
-            return None
-        a = primitive(a)
-        return a, dot(a, p)
     rows = [tuple(p) + (-1,) for p in points]
     n = len(rows[0])
     v = []

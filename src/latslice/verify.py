@@ -18,7 +18,7 @@ from math import floor, gcd
 
 from .bodies import ConvexBody, box, from_hrep, from_vertices, polar_volume, volume
 from .errors import DegenerateBodyError, LatsliceError, SymmetryError
-from .hull import graham_hull, hull_facets
+from .hull import graham_hull
 from .lattices import (
     LatticeSubspace,
     count_points,
@@ -71,12 +71,7 @@ class PickQuantities:
 
 
 def pick_quantities(polygon) -> PickQuantities:
-    """Area, interior and boundary counts of an integral convex polygon.
-
-    A is the exact shoelace area, B sums gcd(|dx|, |dy|) over the edges,
-    and I comes from the full lattice count minus B, so the identity
-    check A = I + B/2 - 1 rests on independent quantities.
-    """
+    """Area, interior and boundary counts of an integral convex polygon, given by its vertices."""
     pts = []
     for p in polygon:
         if len(p) != 2 or any(int(x) != x for x in p):
@@ -87,18 +82,28 @@ def pick_quantities(polygon) -> PickQuantities:
     hull_pts = graham_hull(pts)
     if len(hull_pts) < 3 or set(hull_pts) != set(pts):
         raise PolygonError("vertices are not the extreme points of a convex polygon")
+    return _pick(hull_pts)
+
+
+def _pick(hull_pts) -> PickQuantities:
+    """Pick quantities of a counterclockwise hull of at least 3 integer vertices.
+
+    One edge loop sums the shoelace area A, the boundary count B (the edge
+    gcds) and the outward rows (the edge turned clockwise over its gcd); I is
+    the rows' lattice count minus B, so A = I + B/2 - 1 checks independent sums.
+    """
     area2 = 0
     bcount = 0
-    n = len(hull_pts)
-    for i in range(n):
-        x1, y1 = hull_pts[i]
-        x2, y2 = hull_pts[(i + 1) % n]
+    rows = []
+    for (x1, y1), (x2, y2) in zip(hull_pts, hull_pts[1:] + hull_pts[:1]):
         area2 += x1 * y2 - x2 * y1
-        bcount += gcd(abs(x2 - x1), abs(y2 - y1))
-    area = Fraction(abs(area2), 2)
+        g = gcd(x2 - x1, y2 - y1)
+        bcount += g
+        a = ((y2 - y1) // g, (x1 - x2) // g)
+        rows.append((a, a[0] * x1 + a[1] * y1))
+    area = Fraction(area2, 2)
     xs = [p[0] for p in hull_pts]
     ys = [p[1] for p in hull_pts]
-    rows = [(f.normal, f.offset) for f in hull_facets(hull_pts, 2)]
     total = count_solutions(rows, [(min(xs), max(xs)), (min(ys), max(ys))])
     interior = total - bcount
     holds = area == interior + Fraction(bcount, 2) - 1
@@ -195,10 +200,10 @@ def verify_dim2(body, normal_bound=None, seed=None) -> SlicingReport:
         raise LatsliceError("verify_dim2 needs a 2-dimensional body")
     pts = body.lattice_points
     count = len(pts)
-    if dim_of_lattice_span(body) < 2:
-        return _hypothesis_report("dim2", body, 1, count, seed)
     hull_pts = graham_hull(pts)
-    pick = pick_quantities(hull_pts)
+    if len(hull_pts) < 3:  # K ∩ Z^2 holds 0, so collinear means a span below 2
+        return _hypothesis_report("dim2", body, 1, count, seed)
+    pick = _pick(hull_pts)
     chain = [ChainEntry("pick-identity", pick.identity_holds, f"A={pick.A} I={pick.I} B={pick.B}")]
     hull_count = pick.I + pick.B
     premises = pick.I >= 1 and pick.A >= 2 and hull_count == count

@@ -58,6 +58,9 @@ here its minors run through this module's ``det_int`` and ``primitive``.
 planes and side tests went in line: one ``hyperplane_through`` (this
 module's) and one ``dot`` side test per d-subset.  It still returns one
 all-point facet for a flat set at d >= 3, so compare on spanning sets.
+Its 2-D case ``_facets_2d`` is the library's as it was before it read
+each facet off a counterclockwise edge: it takes the edge's
+``hyperplane_through`` and turns it outward by probing the next vertex.
 ``polar_box`` is the polar's bounding box as ``from_hrep`` finds it, one
 support LP per axis, against which ``ConvexBody.polar``'s facet box is checked.
 
@@ -79,6 +82,11 @@ arithmetic, as ``latslice.bodies`` did before integral rows stayed in ints;
 did before it counted all labels in one pass; ``dim_of_lattice_span`` ranks
 a copy of the nonzero points, as ``latslice.lattices`` did before it ranked
 the cached listing in place.
+
+Unconditionality: ``is_unconditional`` flips an H-rep body's rows and a
+V-rep body's generators, testing a flipped generator with ``contains``, as
+``ConvexBody.is_unconditional`` did before it read the facet rows in both
+representations.
 """
 
 from __future__ import annotations
@@ -95,7 +103,7 @@ from latslice.errors import (
     SubspaceError,
     UnboundedBodyError,
 )
-from latslice.hull import SUBSET_GUARD, Facet, HullSizeError, _facets_2d
+from latslice.hull import SUBSET_GUARD, Facet, HullSizeError, graham_hull
 from latslice.lattices import Lattice, LatticeSubspace, _bound, _tables, _walk
 from latslice.minima import SuccessiveMinima
 from latslice.linalg import (
@@ -215,6 +223,22 @@ def hyperplane_through(points):
         return None
     v = primitive(tuple(v))
     return v[:-1], v[-1]
+
+
+def _facets_2d(pts):
+    hull = graham_hull(pts)
+    if len(hull) < 3:
+        return []
+    facets = []
+    for i in range(len(hull)):
+        p, q = hull[i], hull[(i + 1) % len(hull)]
+        hp = hyperplane_through([p, q])
+        a, b = hp
+        if dot(a, hull[(i + 2) % len(hull)]) > b:
+            a, b = tuple(-x for x in a), -b
+        active = tuple(k for k, pt in enumerate(pts) if dot(a, pt) == b)
+        facets.append(Facet(a, b, active))
+    return facets
 
 
 def hull_facets(pts, dim):
@@ -1201,3 +1225,22 @@ def dim_of_lattice_span(body, lattice=None) -> int:
     if not pts:
         return 0
     return int_rank(pts)
+
+
+def is_unconditional(body) -> bool:
+    """Invariance under every single coordinate sign flip: H-rep rows, or V-rep generators."""
+    if body.rows is not None:
+        table = {a: b for a, b in body.rows}
+        for a, b in body.rows:
+            for i in range(body.dim):
+                flipped = a[:i] + (-a[i],) + a[i + 1 :]
+                if table.get(flipped) != b and table.get(vec_neg(flipped)) != b:
+                    return False
+        return True
+    vert_set = set(body.verts)
+    for v in body.verts:
+        for i in range(body.dim):
+            flipped = v[:i] + (-v[i],) + v[i + 1 :]
+            if flipped not in vert_set and not body.contains(flipped):
+                return False
+    return True

@@ -526,6 +526,32 @@ def test_unconditional_detection():
     assert wide_box().is_unconditional()
     tilted = from_vertices([(2, 1), (1, 2), (-1, 1)])
     assert not tilted.is_unconditional()
+    # (1, 1) lies on the edge from (2, 0) to (0, 2); its flip (1, -1) is no generator
+    assert from_vertices([(2, 0), (0, 2), (1, 1)]).is_unconditional()
+    assert not from_vertices([(2, 0), (0, 2), (2, 2)]).is_unconditional()
+
+
+def _both_representations(body):
+    """body and its twin in the other representation, each with its polar."""
+    d = body.dim
+    if body.rows is None:
+        twin = from_hrep(d, body.facet_rows)
+    else:  # the polar's facet a . y <= b is the vertex a / b
+        twin = from_vertices([tuple(Fraction(x) / b for x in a) for a, b in body.polar().facet_rows])
+    return [body, twin, body.polar(), twin.polar()]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_unconditional_reads_facet_rows_in_both_representations(d):
+    bodies = [cube(d), cross(d), box([Fraction(k + 2, k + 1) for k in range(d)])]
+    # two generator pairs at d = 4 keep the twins' and polars' hulls small
+    bodies += [random_symmetric_body(d, s, points=2 if d == 4 else None) for s in range(3)]
+    bodies += [random_unconditional_body(d, s) for s in range(3)]
+    for body in bodies:
+        forms = _both_representations(body)
+        expected = oracle.is_unconditional(body)
+        for form in forms:
+            assert form.is_unconditional() == oracle.is_unconditional(form) == expected
 
 
 # -- files and specs ---------------------------------------------------------------

@@ -128,6 +128,14 @@ def test_pick_subcommand(capsys):
     assert (data["A"], data["I"], data["B"]) == ("4", 1, 8)
 
 
+def test_pick_on_collinear_lattice_points_names_them_exit1(capsys):
+    # box:1/2,3 holds only the points (0, y): a segment, not a polygon
+    code, out, err = run(capsys, "pick", "--body", "box:1/2,3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the lattice points of box:1/2,3 are collinear, so their hull has no area\n"
+
+
 def test_gauss_subcommand(capsys):
     code, out, _ = run(capsys, "gauss", "--body", "cube:2", "--radii", "1,2,3", "--format", "json")
     assert code == 0

@@ -174,6 +174,10 @@ def test_hyperplane_through():
     assert linalg.hyperplane_through([(0, 0), (2, 2)]) == ((1, -1), 0)
     # two equal points span no unique hyperplane
     assert linalg.hyperplane_through([(2, 2), (2, 2)]) is None
+    # in R^2 the cofactors are the edge turned a quarter turn: primitive, first nonzero entry positive
+    assert linalg.hyperplane_through([(0, 2), (-4, 0)]) == ((1, -2), -4)
+    assert linalg.hyperplane_through([(5, 1), (5, -7)]) == ((1, 0), 5)
+    assert linalg.hyperplane_through([(3, -1), (1, 3)]) == ((2, 1), 5)
 
 
 def test_hyperplane_through_degenerate():

@@ -41,9 +41,11 @@ def test_pick_square():
 
 
 def test_pick_triangle():
-    q = pick_quantities([(0, 0), (2, 0), (0, 2)])
-    assert (q.A, q.I, q.B) == (2, 0, 6)
-    assert q.identity_holds
+    # vertex order does not matter: the clockwise list gives the same quantities
+    for tri in ([(0, 0), (2, 0), (0, 2)], [(0, 0), (0, 2), (2, 0)]):
+        q = pick_quantities(tri)
+        assert (q.A, q.I, q.B) == (2, 0, 6)
+        assert q.identity_holds
 
 
 def test_pick_diamond():
@@ -91,10 +93,57 @@ def test_dim2_tilted_hull():
 
 
 def test_dim2_hypothesis_violated():
-    rep = verify_dim2(box([1, Fraction(2, 5)]))
-    assert rep.hypothesis_violated
-    assert not rep.ok
-    assert rep.chain[0].name == "hypothesis"
+    # K ∩ Z^2 is a segment, then the origin alone: its hull has fewer than 3 vertices
+    for body, count in ((box([1, Fraction(2, 5)]), 3), (box([Fraction(1, 2), Fraction(1, 2)]), 1)):
+        rep = verify_dim2(body)
+        assert rep.hypothesis_violated
+        assert not rep.ok
+        assert rep.chain[0].name == "hypothesis"
+        assert rep.count_total == count
+
+
+def test_dim2_hulls_each_point_set_once(monkeypatch):
+    """A fresh body's chain hulls its generators (for the volume) and K ∩ Z^2, nothing more.
+
+    In V-rep the generators are K's own, in H-rep those of its dual.
+    """
+    from latslice import hull
+
+    calls = []
+    original = hull.graham_hull
+
+    def counted(pts):
+        calls.append(1)
+        return original(pts)
+
+    monkeypatch.setattr(hull, "graham_hull", counted)
+    monkeypatch.setattr(verify, "graham_hull", counted)
+    makers = [lambda: cube(2), lambda: cross(2), lambda: box([Fraction(5, 2), 1])]
+    makers += [lambda s=s: random_symmetric_body(2, s) for s in range(3)]
+    for make in makers:
+        body = make()
+        calls.clear()
+        assert verify_dim2(body).ok
+        assert len(calls) == 2
+
+
+def test_planes_below_d4_are_taken_in_line(monkeypatch):
+    # hyperplane_through's one caller in the library is the d >= 4 subset walk
+    from latslice import hull, volume
+
+    dims = []
+    original = hull.hyperplane_through
+
+    def recorded(points):
+        dims.append(len(points[0]))
+        return original(points)
+
+    monkeypatch.setattr(hull, "hyperplane_through", recorded)
+    verify_dim2(random_symmetric_body(2, 1))
+    verify_main(random_symmetric_body(3, 1), 2)
+    assert dims == []
+    volume(cross(4))
+    assert dims and min(dims) == 4
 
 
 def test_dim2_observed_constant_below_4():
