@@ -161,10 +161,13 @@ class ConvexBody:
         polar_pts = [tuple(ai * (M // f.offset) for ai in f.normal) for f in facets]
         # a primal vertex's polar facet holds the polar points of its facets;
         # generators that are not vertices give non-maximal masks and drop out
-        masks = hull.maximal_masks(
-            sum(1 << fi for fi, f in enumerate(facets) if i in f.active) for i in range(len(pts))
-        )
+        masks = hull.maximal_masks(self._incidence)
         return hull.face_volume(polar_pts, masks, self.dim) * Fraction(L, M) ** self.dim
+
+    @cached_property
+    def _incidence(self) -> list[int]:
+        """Per generator of a V-rep body, the bitmask of the hull facets through it; vertices have maximal masks."""
+        return [sum(1 << fi for fi, f in enumerate(self.facets) if i in f.active) for i in range(len(self.verts))]
 
     # -- predicates ---------------------------------------------------------
 
@@ -215,12 +218,17 @@ class ConvexBody:
     def is_unconditional(self) -> bool:
         """Invariance under every single coordinate sign flip.
 
-        Each facet row a . x <= b has its flips (one entry of a negated) among the facet rows.
+        Facet rows a . x <= b closed under flips prove it with no hull; failing
+        that, an H-rep body, whose rows may be redundant, flips only the rows
+        whose a / b is a vertex of its dual.
         """
-        table = dict(self.facet_rows)
-        return all(
-            table.get(a[:i] + (-a[i],) + a[i + 1 :]) == b for a, b in table.items() for i in range(self.dim)
-        )
+        closed = _flips_closed(dict(self.facet_rows), self.dim)
+        if closed or self.rows is None:
+            return closed
+        dual = self._dual
+        top = set(hull.maximal_masks(dual._incidence))
+        vertices = {v for v, mask in zip(dual.verts, dual._incidence) if mask in top}
+        return _flips_closed({a: b for a, b in self.rows if tuple(x / b for x in a) in vertices}, self.dim)
 
     # -- constructions -------------------------------------------------------
 
@@ -250,6 +258,11 @@ class ConvexBody:
             return from_hrep(self.dim, rows, name=f"{c}*{self.name}")
         verts = [tuple(c * x for x in v) for v in self.verts]
         return from_vertices(verts, name=f"{c}*{self.name}")
+
+
+def _flips_closed(table, dim) -> bool:
+    """Whether each flip of each row a -> b of table (one entry of a negated) is a row with the same b."""
+    return all(table.get(a[:i] + (-a[i],) + a[i + 1 :]) == b for a, b in table.items() for i in range(dim))
 
 
 def _exact(x):

@@ -7,22 +7,24 @@ bounds for the next coordinate from exact suffix minima over the box.  At
 each prefix it reaches, the last two axes form a 2-D section
 {lo <= x <= hi, L(x) <= y <= U(x)}, where U and -L are the lower envelopes
 of the slope-sorted line sets ``_lines`` builds from the rows on y and the
-box's two sides.  One of two closers reads it:
+box's two sides.  ``_pieces`` merges the two envelopes into the pieces on
+which one line bounds each side, clipped to U >= L, and both closers read
+them; neither scans rows on its own:
 
 - ``_runs`` lists: it yields last-axis runs (prefix, lo, hi) in ascending
   lexicographic order.  A prefix with no more columns than bounding lines
-  scans every row at every column; a wider one walks the two envelopes
-  piece by piece, one floor division per side per column, with the line
-  sets sorted at the first wide prefix.  It serves listings only: its one
-  reader is ``_listing``, behind ``ConvexBody.lattice_points``,
-  ``enumerate_points`` and the ``by_normal`` levels of ``count_points``.
+  bounds each column's last axis with ``_bound``, as the walk bounds every
+  other axis; a wider one expands the pieces column by column, one floor
+  division per side per column.  It serves listings only: its one reader is
+  ``_listing``, behind ``ConvexBody.lattice_points``, ``enumerate_points``
+  and the ``by_normal`` levels of ``count_points``.
 - ``count_solutions`` counts: it puts the axes in order of box width, so the
-  walk covers the narrowest and the two widest form the sections, and sums
-  each section in closed form, as floor sums over the pieces on which one
-  line bounds each side.  ``count_points`` and Pick's polygon count read it.
+  walk covers the narrowest and the two widest form the sections, and
+  ``_section`` sums each piece as two floor sums.  ``count_points`` and
+  Pick's polygon count read it.
 
-On a sublattice the box bounds each coordinate |y_j| through the integer
-adjugate of the Gram matrix B^T B, over one common denominator.
+A sublattice box bounds each coordinate |y_j| through the integer map
+``Lattice.coordinates``, y = P x / g, which also decides membership.
 
 Every system built from a body is origin-symmetric: the body is symmetric
 by construction, the lattice passes through 0 and the box is symmetric.
@@ -49,6 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor, isqrt, lcm
 from operator import neg
 
@@ -56,13 +59,11 @@ from .errors import DimensionMismatchError, SubspaceError
 from .linalg import (
     det_int,
     dot,
-    gram_det,
     identity,
     int_rank,
     kernel_basis,
     primitive,
     row_hnf,
-    solve_rational,
 )
 
 __all__ = [
@@ -85,6 +86,8 @@ class Lattice:
     basis: tuple[tuple[int, ...], ...]  # columns, each of length dim
 
     def __post_init__(self):
+        if not self.basis:
+            raise SubspaceError("a lattice needs at least one basis column")
         for col in self.basis:
             if len(col) != self.dim:
                 raise DimensionMismatchError("basis column length differs from dim")
@@ -98,47 +101,45 @@ class Lattice:
     @property
     def det_gram(self) -> int:
         """det(B^T B): the squared cell volume, always an exact integer."""
-        return gram_det(self.basis)
+        return self.coordinates[1]
 
     def cell_volume(self) -> Fraction:
         """Cell volume; exact for full rank (|det B|) and square gram dets."""
         if self.rank == self.dim:
             return Fraction(abs(det_int(self.basis)))
         g = self.det_gram
-        r = _isqrt_exact(g)
-        if r is None:
+        r = isqrt(g)
+        if r * r != g:
             raise SubspaceError("cell volume is irrational; use det_gram")
         return Fraction(r)
 
     def to_ambient(self, coeffs):
-        return tuple(
-            sum(self.basis[k][i] * coeffs[k] for k in range(self.rank))
-            for i in range(self.dim)
-        )
+        return tuple(dot(coeffs, x) for x in zip(*self.basis))
+
+    @cached_property
+    def coordinates(self):
+        """The integer map (P, g), P = adj(B^T B) B^T and g = det(B^T B), with y = P x / g for x = B y."""
+        gram = [[dot(u, v) for v in self.basis] for u in self.basis]
+        k = len(gram)
+        # row i of adj(B^T B), which is symmetric: the signed minors without row i
+        adj = [
+            [(-1) ** (i + j) * det_int([r[:j] + r[j + 1 :] for s, r in enumerate(gram) if s != i]) for j in range(k)]
+            for i in range(k)
+        ]
+        return tuple(tuple(dot(a, x) for x in zip(*self.basis)) for a in adj), det_int(gram)
 
     def contains(self, point) -> bool:
-        """Exact membership: point = B y for an integer y."""
+        """Exact membership: P x / g is an integer y, and B y is the point."""
         v = tuple(Fraction(x) for x in point)
         if len(v) != self.dim:
             raise DimensionMismatchError("point length differs from lattice dim")
-        k = self.rank
-        gram = [
-            tuple(dot(self.basis[i], self.basis[j]) for j in range(k)) for i in range(k)
-        ]
-        rhs = tuple(dot(self.basis[i], v) for i in range(k))
-        y = solve_rational(gram, rhs)
-        if y is None or any(c.denominator != 1 for c in y):
-            return False
-        return self.to_ambient([int(c) for c in y]) == v
+        P, g = self.coordinates
+        y = [dot(row, v) / g for row in P]
+        return all(c.denominator == 1 for c in y) and self.to_ambient(y) == v
 
     @classmethod
     def standard(cls, d) -> "Lattice":
         return cls(dim=d, basis=tuple(identity(d)))
-
-
-def _isqrt_exact(n):
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 def _integral(v) -> tuple[int, ...]:
@@ -309,19 +310,16 @@ def _runs(rows, box, half=False):
     lo <= x <= hi, and runs come in ascending lexicographic order.  This is
     the listing closer of ``_walk``: at each walked prefix it loops over the
     penultimate axis x and bounds the last one, so no leaf is pushed.  A
-    prefix with no more columns than the section has bounding lines scans
-    every row at every column; a wider one walks the section's two
-    envelopes (``_envelopes``, shared with ``count_solutions``), one floor
-    division per side per column.  The line sets are sorted once, at the
-    first wide prefix.
+    prefix with no more columns than the section has bounding lines bounds
+    each column with ``_bound``; a wider one expands the section's
+    ``_pieces``, the ones ``_section`` sums, one floor division per side per
+    column.  The line sets are sorted once, at the first wide prefix.
 
     half=True is for origin-symmetric systems only: along the all-zero
     prefix each axis's lo is clipped at 0, so only the runs whose points
     are >=lex 0 come out, and the first is the zero run ((0, ..., 0), 0, hi0).
     """
     n = len(box)
-    if n == 0:
-        return
     if n == 1:  # a zero-width leading axis makes the root a section
         for _, lo, hi in _runs([((0, *a), b) for a, b in rows], [(0, 0), *box], half):
             yield (), lo, hi
@@ -336,46 +334,20 @@ def _runs(rows, box, half=False):
         lo, hi = _bound(0 if zero and lo < 0 else lo, hi, col, low, residuals)
         if hi - lo < width:
             for x in range(lo, hi + 1):
-                l, h = blo, bhi
-                if zero and x == 0 and l < 0:
-                    l = 0
-                for at, an, res in zip(col, last, residuals):
-                    rem = res - at * x
-                    if an > 0:
-                        q = rem // an
-                        if q < h:
-                            h = q
-                    elif an < 0:
-                        q = -(-rem // an)
-                        if q > l:
-                            l = q
-                    elif rem < 0:
-                        h = l - 1
-                        break
+                l, h = _bound(0 if zero and x == 0 and blo < 0 else blo, bhi, last, [at * x for at in col], residuals)
                 if l <= h:
                     yield prefix + (x,), l, h
             continue
         if lines is None:
             lines = _lines(col, last)
-        upper, lower = _envelopes(lines, residuals, blo, bhi, lo, hi)
-        i = j = 0
-        x = lo
-        while x <= hi:
-            ue, (au, mu, ru) = upper[i]
-            le, (al, ml, rl) = lower[j]
-            end = ue if ue < le else le
-            if ue == end:
-                i += 1
-            if le == end:
-                j += 1
-            for x in range(x, end + 1):
+        for start, end, (au, mu, ru), (al, ml, rl) in _pieces(*_envelopes(lines, residuals, blo, bhi, lo, hi), lo, hi):
+            for x in range(start, end + 1):
                 h = (ru - au * x) // mu
                 l = -((rl - al * x) // ml)
                 if zero and x == 0 and l < 0:
                     l = 0
                 if l <= h:
                     yield prefix + (x,), l, h
-            x = end + 1
 
 
 def _floor_sum(n, m, a, b):
@@ -473,20 +445,17 @@ def _envelopes(lines, residuals, blo, bhi, lo, hi):
     )
 
 
-def _section(upper, lower, lo, hi):
-    """Integer points of {lo <= x <= hi, L(x) <= y <= U(x)}, in closed form.
+def _pieces(upper, lower, lo, hi):
+    """Yield (start, end, up, low): on start <= x <= end, up bounds y from above and low bounds -y.
 
-    upper and lower are the envelope pieces of U and -L, so a column holds
-    floor(U) + floor(-L) + 1 points where U >= L.  On each piece with one
-    line of each side least, U - L is linear: the piece is clipped to U >= L
-    and its columns are two floor sums.
+    upper and lower are the envelope pieces of U and -L; each joint piece is
+    clipped to U >= L, which drops only columns that hold no point.
     """
-    total = 0
     i = j = 0
     x = lo
     while x <= hi:
-        ue, (au, mu, ru) = upper[i]
-        le, (al, ml, rl) = lower[j]
+        ue, up = upper[i]
+        le, low = lower[j]
         end = ue if ue < le else le
         if ue == end:
             i += 1
@@ -494,6 +463,7 @@ def _section(upper, lower, lo, hi):
             j += 1
         start, x = x, end + 1
         # U >= L  <=>  ml*(ru - au*x) + mu*(rl - al*x) >= 0  <=>  A x <= B
+        (au, mu, ru), (al, ml, rl) = up, low
         A, B = ml * au + mu * al, ml * ru + mu * rl
         if A > 0:
             end = min(end, B // A)
@@ -502,8 +472,19 @@ def _section(upper, lower, lo, hi):
         elif B < 0:
             continue
         if start <= end:
-            k = end - start + 1
-            total += k + _floor_sum(k, mu, -au, ru - au * start) + _floor_sum(k, ml, -al, rl - al * start)
+            yield start, end, up, low
+
+
+def _section(upper, lower, lo, hi):
+    """Integer points of {lo <= x <= hi, L(x) <= y <= U(x)}, in closed form.
+
+    A column holds floor(U) + floor(-L) + 1 points where U >= L, so each of
+    the section's ``_pieces`` is its column count and two floor sums.
+    """
+    total = 0
+    for start, end, (au, mu, ru), (al, ml, rl) in _pieces(upper, lower, lo, hi):
+        k = end - start + 1
+        total += k + _floor_sum(k, mu, -au, ru - au * start) + _floor_sum(k, ml, -al, rl - al * start)
     return total
 
 
@@ -520,8 +501,6 @@ def count_solutions(rows, box, half=False) -> int:
     prefixes >lex 0 plus the zero-prefix section, which is symmetric itself.
     """
     n = len(box)
-    if n == 0:
-        return 0
     if n == 1:  # a zero-width leading axis makes the root a section
         rows, box, n = [((0, *a), b) for a, b in rows], [(0, 0), *box], 2
     order = sorted(range(n), key=lambda t: box[t][1] - box[t][0])
@@ -558,11 +537,10 @@ def _system(body, lattice, scale):
     """Integer rows and box of scale*body in lattice coordinates y (points B y).
 
     Starts from body.int_rows; lattice None stands for Z^d, where the box
-    is the scaled bounding box.  On a sublattice y = P x with the
-    pseudoinverse P = (B^T B)^-1 B^T = adj(B^T B) B^T / det(B^T B), so
-    |y_j| <= sum_t |P_jt| r_t over the radii r_t of the scaled bounding box:
-    the sum is taken in ints over the radii's common denominator and closed
-    by one floor division.
+    is the scaled bounding box.  On a sublattice y = P x / g through
+    ``Lattice.coordinates``, so |y_j| <= sum_t |P_jt| r_t / g over the radii
+    r_t of the scaled bounding box: the sum is taken in ints over the radii's
+    common denominator and closed by one floor division.
     """
     scale = Fraction(scale)
     if scale <= 0:
@@ -572,21 +550,12 @@ def _system(body, lattice, scale):
     if lattice is None:
         rows = [(tuple(x * q for x in a), b * p) for a, b in body.int_rows]
         return rows, _int_box(radii)
-    basis = lattice.basis
-    rows = [(tuple(dot(a, col) * q for col in basis), b * p) for a, b in body.int_rows]
-    gram = [[dot(u, v) for v in basis] for u in basis]
+    rows = [(tuple(dot(a, col) * q for col in lattice.basis), b * p) for a, b in body.int_rows]
+    P, g = lattice.coordinates
     den = lcm(*(r.denominator for r in radii))
     ints = [r.numerator * (den // r.denominator) for r in radii]
-    den *= det_int(gram)
-    k = len(basis)
-    box = []
-    for i in range(k):
-        # row i of adj(B^T B), which is symmetric: the signed minors without row i
-        minors = [[g[:j] + g[j + 1 :] for s, g in enumerate(gram) if s != i] for j in range(k)]
-        adj = [(-1) ** (i + j) * det_int(m) for j, m in enumerate(minors)]
-        bound = sum(abs(sum(c * col[t] for c, col in zip(adj, basis))) * r for t, r in enumerate(ints)) // den
-        box.append((-bound, bound))
-    return rows, box
+    bounds = [sum(abs(c) * r for c, r in zip(row, ints)) // (den * g) for row in P]
+    return rows, [(-b, b) for b in bounds]
 
 
 def _listing(body, lattice=None, scale=1):

@@ -143,31 +143,6 @@ def det_int(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def solve_rational(rows, rhs):
-    """Solve the square system rows * x = rhs exactly; None if singular."""
-    n = len(rows)
-    a = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        prow = a[col]
-        inv = 1 / prow[col]
-        for j in range(col, n + 1):
-            prow[j] *= inv
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                for j in range(col, n + 1):
-                    a[r][j] -= f * prow[j]
-    return tuple(a[i][n] for i in range(n))
-
-
 def row_hnf_transform(rows) -> tuple[list[IntVec], list[IntVec], int]:
     """Row Hermite normal form with transform.
 
@@ -238,13 +213,6 @@ def kernel_basis(rows) -> list[IntVec]:
 
 def identity(n) -> list[IntVec]:
     return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-
-
-def gram_det(cols) -> int:
-    """det(B^T B) for integer column vectors B (squared cell volume, exact)."""
-    k = len(cols)
-    g = [[dot(cols[i], cols[j]) for j in range(k)] for i in range(k)]
-    return det_int(g)
 
 
 def hyperplane_through(points):

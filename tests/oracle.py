@@ -15,7 +15,12 @@ closer as it was before it read the counting envelopes: it bounds the last
 axis by scanning every row at every penultimate-axis column.
 ``fraction_system`` is ``lattices._system`` as it was before its sublattice
 box went integral: it bounds each ``|y_j|`` through ``solve_rational``
-columns of the inverse Gram matrix.
+columns of the inverse Gram matrix.  ``solve_rational`` is the Fraction
+Gauss–Jordan solve that ``latslice.linalg`` kept until the integer map
+``Lattice.coordinates`` replaced its last caller, and ``lattice_contains``
+is ``Lattice.contains`` as it was then: it solves the Gram system
+B^T B y = B^T x with it.  ``gram_det`` is the ``latslice.linalg`` helper
+that gave ``Lattice.det_gram`` before it read g off that map.
 
 Volumes: ``hull_volume`` (the fan that re-hulls every facet projection),
 ``hull_vertex_indices``, ``rational_hull_volume`` and ``polar_volume`` (the
@@ -114,7 +119,6 @@ from latslice.linalg import (
     kernel_basis,
     row_hnf,
     scale_to_int,
-    solve_rational,
     vec_neg,
     vec_sub,
 )
@@ -549,8 +553,6 @@ def _lattice_system(body, lattice, scale=Fraction(1)):
         q = Fraction(b) * scale
         rows.append((tuple(x * q.denominator for x in arow), q.numerator))
     # |y_j| bound via the exact pseudoinverse: y = (B^T B)^-1 B^T x
-    from latslice.linalg import solve_rational
-
     k = lattice.rank
     gram = [
         tuple(dot(lattice.basis[i], lattice.basis[j]) for j in range(k))
@@ -654,6 +656,54 @@ def scan_runs(rows, box, half=False):
                     break
             if l <= h:
                 yield prefix + (x,), l, h
+
+
+def solve_rational(rows, rhs):
+    """Solve the square system rows * x = rhs exactly; None if singular."""
+    n = len(rows)
+    a = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if a[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        prow = a[col]
+        inv = 1 / prow[col]
+        for j in range(col, n + 1):
+            prow[j] *= inv
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                for j in range(col, n + 1):
+                    a[r][j] -= f * prow[j]
+    return tuple(a[i][n] for i in range(n))
+
+
+def gram_det(cols) -> int:
+    """det(B^T B) for integer column vectors B (squared cell volume, exact)."""
+    k = len(cols)
+    g = [[dot(cols[i], cols[j]) for j in range(k)] for i in range(k)]
+    return det_int(g)
+
+
+def lattice_contains(lattice, point) -> bool:
+    """Exact membership: point = B y for an integer y."""
+    v = tuple(Fraction(x) for x in point)
+    if len(v) != lattice.dim:
+        raise DimensionMismatchError("point length differs from lattice dim")
+    k = lattice.rank
+    gram = [
+        tuple(dot(lattice.basis[i], lattice.basis[j]) for j in range(k)) for i in range(k)
+    ]
+    rhs = tuple(dot(lattice.basis[i], v) for i in range(k))
+    y = solve_rational(gram, rhs)
+    if y is None or any(c.denominator != 1 for c in y):
+        return False
+    return lattice.to_ambient([int(c) for c in y]) == v
 
 
 def fraction_system(body, lattice, scale):

@@ -27,6 +27,7 @@ from latslice.verify import (
     random_rational_symmetric_2d,
     random_symmetric_body,
     random_unconditional_body,
+    verify_unconditional,
 )
 
 
@@ -552,6 +553,38 @@ def test_unconditional_reads_facet_rows_in_both_representations(d):
         expected = oracle.is_unconditional(body)
         for form in forms:
             assert form.is_unconditional() == oracle.is_unconditional(form) == expected
+
+
+def test_redundant_hrep_rows_keep_a_body_unconditional():
+    # the square [-1, 1]^2 with a redundant row whose flips are missing
+    square = from_hrep(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 5)])
+    assert square.is_unconditional()
+    report = verify_unconditional(square)
+    assert report.ok and volume(square).value == 4
+    # (1, 1) <= 2 touches the square at a corner: its dual point (1/2, 1/2) is an edge midpoint
+    assert from_hrep(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 2)]).is_unconditional()
+    # (1, 1) <= 1 cuts two corners off, so it is a facet
+    assert not from_hrep(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)]).is_unconditional()
+
+
+@st.composite
+def redundant_row_cases(draw):
+    """An H-rep body, unconditional or not, with one row a . x <= t * h(a) added, t >= 1."""
+    d = draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 10**6))
+    made = random_unconditional_body(d, seed) if draw(st.booleans()) else random_symmetric_body(d, seed)
+    body = made if made.rows is not None else from_hrep(d, made.facet_rows)
+    a = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any))
+    b = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(3)])) * body.support(a)
+    # with its partner, so that a row parallel to a redundant one lowers both
+    return from_hrep(d, [*body.rows, (a, b), ([-x for x in a], b)]), oracle.is_unconditional(body)
+
+
+@settings(max_examples=60, deadline=None)
+@given(redundant_row_cases())
+def test_redundant_row_leaves_unconditionality_unchanged(case):
+    body, expected = case
+    assert body.is_unconditional() == oracle.is_unconditional(body.polar()) == expected
 
 
 # -- files and specs ---------------------------------------------------------------

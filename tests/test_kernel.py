@@ -135,20 +135,20 @@ def closer_cases(draw):
 
 
 def test_runs_match_row_scan_oracle(monkeypatch):
-    prefixes, envelopes = [], []
-    walk, envelope = lattices._walk, lattices._envelope
+    prefixes, wide = [], []
+    walk, pieces = lattices._walk, lattices._pieces
 
     def counted_walk(*args):
         for node in walk(*args):
             prefixes.append(node[0])
             yield node
 
-    def counted_envelope(*args):
-        envelopes.append(args)
-        return envelope(*args)
+    def counted_pieces(*args):
+        wide.append(args)
+        return pieces(*args)
 
     monkeypatch.setattr(lattices, "_walk", counted_walk)
-    monkeypatch.setattr(lattices, "_envelope", counted_envelope)
+    monkeypatch.setattr(lattices, "_pieces", counted_pieces)
 
     @settings(max_examples=100, deadline=None)
     @given(closer_cases())
@@ -159,10 +159,8 @@ def test_runs_match_row_scan_oracle(monkeypatch):
         assert list(lattices._runs(rows, box, half)) == list(oracle.scan_runs(rows, box, half))
 
     check()
-    # each wide prefix takes two envelopes; the oracle walks with its own _walk
-    wide = len(envelopes) // 2
-    narrow = len(prefixes) - wide
-    assert wide > 0 and narrow > 0
+    # each wide prefix walks its pieces once; the oracle walks with its own _walk
+    assert 0 < len(wide) < len(prefixes)
 
 
 # -- closed-form section counting -------------------------------------------------

@@ -20,6 +20,7 @@ from latslice import (
     from_vertices,
     project_count,
     sublattice,
+    successive_minima,
 )
 from latslice.linalg import det_int, dot, kernel_basis
 import oracle
@@ -317,3 +318,39 @@ def test_sublattice_enumeration_matches_membership_filter():
     direct = enumerate_points(body, lat)
     filtered = sorted(p for p in enumerate_points(body) if lat.contains(p))
     assert direct == filtered
+
+
+def test_rank_zero_lattice_is_rejected():
+    # the origin lies in every body, so a rank-0 lattice would count 1, not 0
+    for call in (count_points, enumerate_points, successive_minima):
+        with pytest.raises(SubspaceError, match="at least one basis column"):
+            call(cube(3), Lattice(3, ()))
+
+
+@st.composite
+def lattice_points(draw):
+    """A lattice of rank 1 to d at d <= 4 and a lattice, shifted or rational point."""
+    d = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    cols = draw(st.lists(st.tuples(*[entry] * d), min_size=1, max_size=d).filter(
+        lambda cols: oracle.int_rank(cols) == len(cols)
+    ))
+    lat = Lattice(d, tuple(cols))
+    y = draw(st.lists(entry, min_size=len(cols), max_size=len(cols)))
+    x = lat.to_ambient(y)
+    kind = draw(st.sampled_from(["member", "shifted", "rational"]))
+    if kind == "shifted":
+        x = tuple(a + b for a, b in zip(x, draw(st.tuples(*[st.integers(-1, 1)] * d))))
+    elif kind == "rational":
+        x = tuple(Fraction(a, draw(st.integers(1, 3))) for a in x)
+    return lat, x, kind == "member"
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_points())
+def test_contains_matches_gram_solve_oracle(case):
+    lat, x, member = case
+    assert lat.det_gram == oracle.gram_det(lat.basis)
+    assert lat.contains(x) == oracle.lattice_contains(lat, x)
+    if member:
+        assert lat.contains(x)
