@@ -14,6 +14,11 @@ cached integer gauge table ``(c, B)``: the facet rows a . x <= b scaled to
 one common right side B > 0, so that gauge(x) = max_i c_i . x / B.  Integer
 points stay integers, and a caller that only compares gauges (the successive
 minima) compares the integer numerators max_i c_i . x.
+
+Unconditionality reads the facet rows and the support function, in either
+representation: K is invariant under a coordinate sign flip exactly when
+every flipped facet row holds on K, so an H-rep body decides it without
+hulling its dual.
 """
 
 from __future__ import annotations
@@ -161,13 +166,9 @@ class ConvexBody:
         polar_pts = [tuple(ai * (M // f.offset) for ai in f.normal) for f in facets]
         # a primal vertex's polar facet holds the polar points of its facets;
         # generators that are not vertices give non-maximal masks and drop out
-        masks = hull.maximal_masks(self._incidence)
+        incidence = [sum(1 << fi for fi, f in enumerate(facets) if i in f.active) for i in range(len(pts))]
+        masks = hull.maximal_masks(incidence)
         return hull.face_volume(polar_pts, masks, self.dim) * Fraction(L, M) ** self.dim
-
-    @cached_property
-    def _incidence(self) -> list[int]:
-        """Per generator of a V-rep body, the bitmask of the hull facets through it; vertices have maximal masks."""
-        return [sum(1 << fi for fi, f in enumerate(self.facets) if i in f.active) for i in range(len(self.verts))]
 
     # -- predicates ---------------------------------------------------------
 
@@ -218,17 +219,18 @@ class ConvexBody:
     def is_unconditional(self) -> bool:
         """Invariance under every single coordinate sign flip.
 
-        Facet rows a . x <= b closed under flips prove it with no hull; failing
-        that, an H-rep body, whose rows may be redundant, flips only the rows
-        whose a / b is a vertex of its dual.
+        K equals its flip in coordinate i exactly when every facet row
+        a . x <= b, flipped in coordinate i, holds on K.  A flip that is a
+        row with the same b holds as read, so a row set closed under flips
+        runs no LP; any other flip f is checked by support, h_K(f) <= b, so
+        redundant H-rep rows are read right and no dual hull is built.
         """
-        closed = _flips_closed(dict(self.facet_rows), self.dim)
-        if closed or self.rows is None:
-            return closed
-        dual = self._dual
-        top = set(hull.maximal_masks(dual._incidence))
-        vertices = {v for v, mask in zip(dual.verts, dual._incidence) if mask in top}
-        return _flips_closed({a: b for a, b in self.rows if tuple(x / b for x in a) in vertices}, self.dim)
+        table = dict(self.facet_rows)
+        return all(
+            table.get(f) == b or self.support(f) <= b
+            for a, b in table.items()
+            for f in (a[:i] + (-a[i],) + a[i + 1 :] for i in range(self.dim))
+        )
 
     # -- constructions -------------------------------------------------------
 
@@ -258,11 +260,6 @@ class ConvexBody:
             return from_hrep(self.dim, rows, name=f"{c}*{self.name}")
         verts = [tuple(c * x for x in v) for v in self.verts]
         return from_vertices(verts, name=f"{c}*{self.name}")
-
-
-def _flips_closed(table, dim) -> bool:
-    """Whether each flip of each row a -> b of table (one entry of a negated) is a row with the same b."""
-    return all(table.get(a[:i] + (-a[i],) + a[i + 1 :]) == b for a, b in table.items() for i in range(dim))
 
 
 def _exact(x):

@@ -22,9 +22,9 @@ from .lattices import LatticeSubspace, count_points, enumerate_points
 from .minima import successive_minima
 from .slicing import BrunnReport, max_slice, slice_count, slice_profile
 from .verify import (
+    _pick,
     frac_str,
     gauss_scaling,
-    pick_quantities,
     random_rational_symmetric_2d,
     random_symmetric_body,
     random_unconditional_body,
@@ -228,7 +228,7 @@ def _cmd_pick(args):
     hull_pts = graham_hull(enumerate_points(body))
     if len(hull_pts) < 3:
         raise LatsliceError(f"the lattice points of {body.name} are collinear, so their hull has no area")
-    q = pick_quantities(hull_pts)
+    q = _pick(hull_pts)
     payload = {
         "body": body.name,
         "A": frac_str(q.A),

@@ -609,6 +609,8 @@ def count_points(body, lattice=None, by_normal=None, scale=Fraction(1)) -> Point
     if by_normal is None:
         return PointCount(total=count_solutions(*_system(body, lat, scale), half=True))
     u = _integral(by_normal)
+    if len(u) != body.dim:
+        raise DimensionMismatchError(f"by_normal has length {len(u)}, body dimension is {body.dim}")
     if lat is not None:
         u = tuple(dot(u, col) for col in lat.basis)  # u . (B y) = (B^T u) . y
     levels = Counter(dot(u, y) for y in _listing(body, lat, scale))

@@ -1,14 +1,18 @@
-"""Small exact LP solver: a fraction-free two-phase simplex with Bland's rule.
+"""The support LP: a fraction-free two-phase simplex with Bland's rule.
 
-Only the equality-form problem the geometry needs is exposed:
+One problem is solved:
 
     minimize sum(mu)  subject to  sum(mu_i * w_i) = target,  mu >= 0
 
 which, applied to the polar vertices a / b, evaluates the support function
-of an H-rep body: ``ConvexBody.support`` and the bounding box that
-``from_hrep`` takes from it.  (Gauges read the gauge table and need no LP.)
-Problems here are desk scale (tens of columns), so a dense tableau is
-plenty.
+of an H-rep body: ``ConvexBody.support``, the bounding box that
+``from_hrep`` takes from it and the flipped-row checks of
+``ConvexBody.is_unconditional``.  (Gauges read the gauge table and need no
+LP.)  Both phases minimize a sum of nonnegative variables, so neither is
+unbounded, and phase 2's value is the sum of its basic values.  The general
+simplex (arbitrary costs, a solution vector, an unbounded case) is kept in
+``tests/oracle.py`` as the differential oracle.  Problems here are desk
+scale (tens of columns), so a dense tableau is plenty.
 
 The data are cleared of denominators by one common multiplier, and every
 tableau entry is then an int over one common denominator ``det`` > 0, the
@@ -22,14 +26,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import LatsliceError
 from .linalg import scale_to_int
 
-__all__ = ["simplex_min", "min_combination", "LPError"]
-
-
-class LPError(LatsliceError):
-    """The LP is unbounded."""
+__all__ = ["min_combination"]
 
 
 class _Tableau:
@@ -61,20 +60,21 @@ class _Tableau:
         self.det = p
         self.basis[pr] = pc
 
-    def optimize(self, cost, columns):
-        """Bland-rule simplex steps until no improving column remains."""
+    def optimize(self, cost):
+        """Bland-rule simplex steps over the columns of a 0/1 cost until none improves."""
         tab, basis = self.tab, self.basis
         # reduced costs times det, c_j·det − Σ c_B·M[i][j], kept as a last row that pivots update
         z = [c * self.det for c in cost] + [0]
         for k, row in zip(basis, tab):
             if cost[k]:
-                z = [zj - cost[k] * x for zj, x in zip(z, row)]
+                z = [zj - x for zj, x in zip(z, row)]
         tab.append(z)
         while True:
-            entering = next((j for j in columns if tab[-1][j] < 0), -1)
+            entering = next((j for j in range(len(cost)) if tab[-1][j] < 0), -1)
             if entering < 0:
                 tab.pop()
                 return
+            # a sum of nonnegative variables is bounded below, so some row has a > 0
             leave = -1
             for i, (k, row) in enumerate(zip(basis, tab)):
                 a = row[entering]
@@ -83,21 +83,16 @@ class _Tableau:
                     leave < 0 or (row[-1] * tab[leave][entering], k) < (tab[leave][-1] * a, basis[leave])
                 ):
                     leave = i
-            if leave < 0:
-                raise LPError("unbounded LP")
             self.pivot(leave, entering)
 
 
-def simplex_min(costs, rows, rhs):
-    """Minimize costs . x subject to rows @ x = rhs, x >= 0.
-
-    Returns (value, x) or None when infeasible.  Raises LPError on an
-    unbounded problem (cannot happen for gauges of bounded bodies).
-    """
-    n = len(costs)
-    t = _Tableau(rows, rhs, n)
-    m = len(t.tab)
-    t.optimize([0] * n + [1] * m, range(n + m))
+def min_combination(vectors, target):
+    """min sum(mu) with sum(mu_i * vectors_i) = target, mu >= 0; None if infeasible."""
+    if not vectors:
+        return None
+    n = len(vectors)
+    t = _Tableau([[v[j] for v in vectors] for j in range(len(target))], target, n)
+    t.optimize([0] * n + [1] * len(t.tab))
     if any(row[-1] > 0 for k, row in zip(t.basis, t.tab) if k >= n):
         return None
     for i in [i for i, k in enumerate(t.basis) if k >= n]:
@@ -107,18 +102,5 @@ def simplex_min(costs, rows, rhs):
     # rows still basic in an artificial are zero rows: drop them, and the artificial columns
     t.tab = [row[:n] + row[-1:] for k, row in zip(t.basis, t.tab) if k < n]
     t.basis = [k for k in t.basis if k < n]
-    (cost,), L = scale_to_int([costs])
-    t.optimize(cost, range(n))
-    x = [Fraction(0)] * n
-    for k, row in zip(t.basis, t.tab):
-        x[k] = Fraction(row[-1], t.det)
-    return Fraction(sum(cost[k] * row[-1] for k, row in zip(t.basis, t.tab)), L * t.det), tuple(x)
-
-
-def min_combination(vectors, target):
-    """min sum(mu) with sum(mu_i * vectors_i) = target, mu >= 0; None if infeasible."""
-    if not vectors:
-        return None
-    rows = [[v[j] for v in vectors] for j in range(len(target))]
-    res = simplex_min([1] * len(vectors), rows, target)
-    return None if res is None else res[0]
+    t.optimize([1] * n)
+    return Fraction(sum(row[-1] for row in t.tab), t.det)

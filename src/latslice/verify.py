@@ -502,7 +502,7 @@ def random_symmetric_body(d, seed, points=None, spread=None) -> ConvexBody:
 
 
 def random_unconditional_body(d, seed) -> ConvexBody:
-    """Random box, scaled diamond, or their intersection; always unconditional.
+    """Random box, scaled diamond, or their intersection (its binding rows only); always unconditional.
 
     Radii shrink with the dimension to keep point counts at desk scale;
     the diagonal-cut variant stays at d <= 3 where its 2^d extra facets
@@ -527,16 +527,17 @@ def random_unconditional_body(d, seed) -> ConvexBody:
             v[i] = r
             verts.append(tuple(v))
         return from_vertices(verts, name=f"diamond:{d}:{seed}")
-    rows = []
-    for a in identity(d):
-        # partner given: in d = 1 the weighted rows below share these normals
-        r = radius()
-        rows += [(a, r), (tuple(-x for x in a), r)]
+    radii = [radius() for _ in range(d)]
     weights = [Fraction(1, rng.randint(2, 6)) for _ in range(d)]
     offset = Fraction(rng.randint(1, 2))
-    # all sign patterns of the weighted row keep the body unconditional
-    for signs in itertools.product((1, -1), repeat=d):
-        rows.append((tuple(s * w for s, w in zip(signs, weights)), offset))
+    # only binding rows: box row i where r_i < offset / w_i, the diamond's vertex on
+    # axis i; the weighted rows where the box corner, clipped to those vertices,
+    # lies beyond them, or where no box row is left
+    rows = [(a, r) for a, r, w in zip(identity(d), radii, weights) if r < offset / w]
+    if not rows or sum(w * min(r, offset / w) for r, w in zip(radii, weights)) > offset:
+        # all sign patterns of the weighted row keep the body unconditional
+        for signs in itertools.product((1, -1), repeat=d):
+            rows.append((tuple(s * w for s, w in zip(signs, weights)), offset))
     return from_hrep(d, rows, name=f"uncond:{d}:{seed}")
 
 

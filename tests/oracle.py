@@ -71,8 +71,11 @@ support LP per axis, against which ``ConvexBody.polar``'s facet box is checked.
 
 LP: ``_Tableau``, ``simplex_min`` and ``min_combination`` (with ``LPError``)
 are the two-phase Bland-rule simplex that ``latslice.lp`` ran in ``Fraction``
-pivots before it went fraction-free; ``polar_box`` and ``hrep_box`` solve their
-support LPs with it.
+pivots before it went fraction-free.  It is the general solver (arbitrary
+costs, a solution vector, an unbounded case); ``latslice.lp`` keeps only the
+support problem, unit costs and its optimal value, and is compared with this
+``min_combination``.  ``polar_box`` and ``hrep_box`` solve their support LPs
+with it.
 
 Gauges: ``facet_gauge``, ``gauge`` and ``contains`` score a point row by row
 in ``Fraction`` arithmetic over ``ConvexBody.facet_rows``, and
@@ -91,17 +94,24 @@ the cached listing in place.
 Unconditionality: ``is_unconditional`` flips an H-rep body's rows and a
 V-rep body's generators, testing a flipped generator with ``contains``, as
 ``ConvexBody.is_unconditional`` did before it read the facet rows in both
-representations.
+representations and checked each flipped row that is not itself a row by
+the support function.  Its H-rep branch reads the rows as given, so it is
+right only when no row is redundant; compare on the polar (a V-rep body) or
+on irredundant rows.  ``random_unconditional_body`` is
+``latslice.verify``'s generator as it was before its intersection shape
+emitted only binding rows: the same draws give the same body, with every
+box and weighted row kept, binding or not.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, gcd
 from operator import mul
 
-from latslice import hull, lattices
+from latslice import bodies, hull, lattices
 from latslice.errors import (
     DegenerateBodyError,
     DimensionMismatchError,
@@ -1294,3 +1304,37 @@ def is_unconditional(body) -> bool:
             if flipped not in vert_set and not body.contains(flipped):
                 return False
     return True
+
+
+def random_unconditional_body(d, seed):
+    """``verify.random_unconditional_body`` as it was before its intersection shape kept only binding rows."""
+    if d < 1:
+        raise DegenerateBodyError(f"dimension must be >= 1, got {d}")
+    rng = random.Random(seed)
+    shape = rng.choice(["box", "diamond", "intersection"] if d <= 3 else ["box", "diamond"])
+    hi = {1: 8, 2: 8, 3: 5, 4: 3}.get(d, 2)
+
+    def radius():
+        return Fraction(rng.randint(2, max(2, hi)), rng.randint(1, 2))
+
+    if shape == "box":
+        return bodies.box([radius() for _ in range(d)])
+    if shape == "diamond":
+        verts = []
+        for i in range(d):
+            r = radius()
+            v = [Fraction(0)] * d
+            v[i] = r
+            verts.append(tuple(v))
+        return bodies.from_vertices(verts, name=f"diamond:{d}:{seed}")
+    rows = []
+    for a in identity(d):
+        # partner given: in d = 1 the weighted rows below share these normals
+        r = radius()
+        rows += [(a, r), (tuple(-x for x in a), r)]
+    weights = [Fraction(1, rng.randint(2, 6)) for _ in range(d)]
+    offset = Fraction(rng.randint(1, 2))
+    # all sign patterns of the weighted row keep the body unconditional
+    for signs in itertools.product((1, -1), repeat=d):
+        rows.append((tuple(s * w for s, w in zip(signs, weights)), offset))
+    return bodies.from_hrep(d, rows, name=f"uncond:{d}:{seed}")

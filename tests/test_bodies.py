@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from latslice import hull, lp
+from latslice.linalg import identity
 from latslice import (
     DegenerateBodyError,
     DimensionMismatchError,
@@ -565,6 +567,34 @@ def test_redundant_hrep_rows_keep_a_body_unconditional():
     assert from_hrep(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 2)]).is_unconditional()
     # (1, 1) <= 1 cuts two corners off, so it is a facet
     assert not from_hrep(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)]).is_unconditional()
+
+
+def _cube_with_redundant_rows():
+    """cube(4)'s rows and 27 row pairs a . x <= t * |a|_1 that are not closed under flips: 62 rows."""
+    import random
+
+    rng = random.Random(0)
+    rows = {a: Fraction(1) for a in identity(4)}
+    while len(rows) < 31:
+        a = tuple(rng.randint(-3, 3) for _ in range(4))
+        if a not in rows and tuple(-x for x in a) not in rows and math.gcd(*a) == 1:
+            rows[a] = rng.choice([1, Fraction(3, 2), 2]) * sum(map(abs, a))
+    body = from_hrep(4, rows.items())
+    assert len(body.rows) == 62
+    return body
+
+
+def test_unconditionality_of_many_redundant_rows_runs_no_hull():
+    # 62 rows are C(62, 4) = 557,845 subsets for the dual's hull, past SUBSET_GUARD
+    body = _cube_with_redundant_rows()
+    table = dict(body.rows)
+    assert any(table.get(a[:i] + (-a[i],) + a[i + 1 :]) != b for a, b in body.rows for i in range(4))
+    assert body.is_unconditional()
+    assert "_dual" not in body.__dict__
+    # a row that cuts the edge x1 + x2 = 2 breaks the flip in either coordinate
+    tilted = from_hrep(4, [*body.rows, ((1, 1, 0, 0), Fraction(3, 2))])
+    assert not tilted.is_unconditional()
+    assert "_dual" not in tilted.__dict__
 
 
 @st.composite

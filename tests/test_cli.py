@@ -128,6 +128,21 @@ def test_pick_subcommand(capsys):
     assert (data["A"], data["I"], data["B"]) == ("4", 1, 8)
 
 
+def test_pick_hulls_the_lattice_points_once(capsys, monkeypatch):
+    from latslice import hull, verify
+
+    calls = []
+
+    def counted(points):
+        calls.append(1)
+        return hull.graham_hull(points)
+
+    monkeypatch.setattr(cli, "graham_hull", counted)
+    monkeypatch.setattr(verify, "graham_hull", counted)
+    assert run(capsys, "pick", "--body", "cube:2") == (0, "A=4 I=1 B=8 identity: True\n", "")
+    assert len(calls) == 1
+
+
 def test_pick_on_collinear_lattice_points_names_them_exit1(capsys):
     # box:1/2,3 holds only the points (0, y): a segment, not a polygon
     code, out, err = run(capsys, "pick", "--body", "box:1/2,3")

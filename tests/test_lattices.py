@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from latslice import (
     DegenerateBodyError,
+    DimensionMismatchError,
     Lattice,
     LatticeSubspace,
     SubspaceError,
@@ -325,6 +326,16 @@ def test_rank_zero_lattice_is_rejected():
     for call in (count_points, enumerate_points, successive_minima):
         with pytest.raises(SubspaceError, match="at least one basis column"):
             call(cube(3), Lattice(3, ()))
+
+
+@pytest.mark.parametrize("normal", [(1, 1), (1, 1, 1, 5), ()])
+def test_leveled_count_rejects_a_form_of_the_wrong_length(normal):
+    # the levels used to read a truncated form: (1, 1) gave x1 + x2, () put every point at 0
+    rank2 = sublattice(LatticeSubspace.from_normal((1, 1, 1)))
+    for lattice in (None, rank2):
+        with pytest.raises(DimensionMismatchError, match=f"length {len(normal)}, body dimension is 3"):
+            count_points(cube(3), lattice, by_normal=normal)
+    assert count_points(cube(3), rank2, by_normal=(1, 0, 0)).by_level == {-1: 2, 0: 3, 1: 2}
 
 
 @st.composite

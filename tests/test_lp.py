@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from latslice import lp
-from latslice.errors import LatsliceError
-from latslice.lp import LPError, min_combination, simplex_min
+from latslice.lp import min_combination
 
 
 def test_gauge_of_square():
@@ -31,14 +30,12 @@ def test_infeasible_outside_cone():
 
 def test_simplex_basic():
     # min x + y st x + 2y = 4, x,y >= 0  -> y = 2
-    val, x = simplex_min([1, 1], [[1, 2]], [4])
-    assert val == 2
-    assert x == (0, 2)
+    assert min_combination([(1,), (2,)], (4,)) == 2
 
 
 def test_redundant_rows():
-    val, _ = simplex_min([1, 1], [[1, 1], [2, 2]], [2, 4])
-    assert val == 2
+    # the second coordinate doubles the first: phase 1 leaves a zero row to drop
+    assert min_combination([(1, 2), (1, 2)], (2, 4)) == 2
 
 
 @settings(max_examples=60)
@@ -68,43 +65,12 @@ def test_gauge_properties(verts, target):
     assert gn == g
 
 
-# -- the fraction-free kernel against the Fraction-pivot oracle -----------------
+# -- the fraction-free kernel against the general Fraction-pivot simplex ----------
 
 _numbers = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
-
-
-def _solve(module, costs, rows, rhs):
-    try:
-        return module.simplex_min(costs, rows, rhs)
-    except module.LPError:
-        return "unbounded"
-
-
-@st.composite
-def _lps(draw):
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(_numbers, min_size=n, max_size=n), min_size=m, max_size=m))
-    rhs = draw(st.lists(_numbers, min_size=m, max_size=m))
-    # a duplicated or scaled row keeps an artificial basic after phase 1,
-    # so drop_redundant_rows has a zero row to drop
-    for _ in range(draw(st.integers(0, 2))):
-        i = draw(st.integers(0, m - 1))
-        k = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
-        rows.append([k * x for x in rows[i]])
-        rhs.append(k * rhs[i])
-    costs = draw(st.lists(_numbers, min_size=n, max_size=n))
-    return costs, rows, rhs
-
-
-@settings(max_examples=300, deadline=None)
-@given(_lps())
-def test_simplex_min_matches_oracle(lp_data):
-    costs, rows, rhs = lp_data
-    assert _solve(lp, costs, rows, rhs) == _solve(oracle, costs, rows, rhs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,27 +87,60 @@ def test_min_combination_matches_oracle(data):
     assert min_combination(vectors, target) == oracle.min_combination(vectors, target)
 
 
+@st.composite
+def _dependent_systems(draw):
+    """Vectors and a target inside a subspace of rank k < d, some columns duplicated or scaled.
+
+    The coordinates are dependent, so phase 1 ends with at least d - k zero
+    rows still basic in an artificial, which are dropped.
+    """
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(1, d - 1))
+    basis = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=k, max_size=k))
+    mixes = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+
+    def point(c):
+        return [sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(d)]
+
+    vectors = [point(c) for c in draw(st.lists(mixes, min_size=1, max_size=7))]
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.sampled_from(vectors))
+        s = draw(st.sampled_from([1, 2, -1, Fraction(1, 2)]))
+        vectors.append([s * x for x in v])
+    target = draw(st.one_of(st.just([0] * d), mixes.map(point)))
+    return vectors, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dependent_systems())
+def test_min_combination_on_dependent_coordinates_matches_oracle(system):
+    vectors, target = system
+    assert min_combination(vectors, target) == oracle.min_combination(vectors, target)
+
+
 @pytest.mark.parametrize(
-    "costs, rows, rhs",
+    "vectors, target, expected",
     [
-        # phase 1 enters column 0 with the ratios 1/1 and 2/2 tied; Bland leaves the lower basic index
-        ([-1, 0, 0], [[1, 1, 0], [2, 0, 1]], [1, 2]),
-        # ratio ties between rows whose basics are out of row order: leaving the
-        # lower row instead of the lower basic index ends at another optimal x
-        ([1, 0, -2, 2, -2], [[0, -2, -2, 1, 2], [2, 1, 2, 2, 0]], [1, 2]),
-        ([2, 2, 1, -1, -1], [[-2, 0, -2, -1, 0], [0, 0, -1, -1, 1], [-1, -1, -1, 1, -1]], [-2, 0, -1]),
-        ([1, 0, 1, 0], [[-2, 2, 1, -1], [1, 1, 2, -2], [-2, 1, -1, -2]], [0, 0, -1]),
-        ([1, 1, 1], [[1, 1, 1], [1, 1, 1], [-1, -1, -1]], [3, 3, -3]),
-        ([Fraction(1, 2), 1, Fraction(-1, 3)], [[1, Fraction(1, 2), 1], [0, 1, -1]], [Fraction(-3, 2), -1]),
-        ([0, 0], [[1, 1]], [-1]),
+        # phase 1 ends with an artificial basic at 0 in a nonzero row: it must be pivoted out
+        ([(-2, 2), (1, 0), (-2, 1)], (-2, 1), 1),
+        ([(-2, 0), (-2, -2), (-4, 0)], (-1, -1), Fraction(1, 2)),
+        ([(1, -2, -1), (2, -1, 1)], (2, -1, 1), 1),
+        # ratio ties: 1/1 and 2/2 on the first column, and a duplicated column
+        ([(1, 2), (1, 0), (0, 1)], (1, 2), 1),
+        ([(1, 1), (1, 1), (2, 2), (1, -1)], (2, 2), 1),
+        # a zero target costs nothing, even with zero and dependent columns
+        ([(0, 0), (1, 1), (2, 2)], (0, 0), 0),
+        ([(1, 2, 3)], (0, 0, 0), 0),
+        # infeasible: outside the cone, and off a dependent subspace
+        ([(1, 1), (2, 2)], (-1, -1), None),
+        ([(1, 1), (2, 2)], (1, 0), None),
+        ([(0, 0)], (1, 0), None),
     ],
 )
-def test_simplex_min_degenerate_cases_match_oracle(costs, rows, rhs):
-    assert _solve(lp, costs, rows, rhs) == _solve(oracle, costs, rows, rhs)
+def test_min_combination_degenerate_cases_match_oracle(vectors, target, expected):
+    assert min_combination(vectors, target) == oracle.min_combination(vectors, target) == expected
 
 
-def test_unbounded_raises_typed_error():
-    with pytest.raises(LPError) as exc:
-        simplex_min([-1], [[0]], [0])
-    assert isinstance(exc.value, LatsliceError)
-    assert issubclass(LPError, LatsliceError)
+def test_only_the_support_problem_is_exported():
+    assert lp.__all__ == ["min_combination"]
+    assert not hasattr(lp, "simplex_min") and not hasattr(lp, "LPError")

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latslice import Lattice, LatticeSubspace, box, cross, cube, from_vertices, minima, verify
+import oracle
+from latslice import Lattice, LatticeSubspace, box, cross, cube, from_vertices, minima, verify, volume
 from latslice.errors import DegenerateBodyError, SymmetryError
 from latslice.lattices import project_count
 from latslice.linalg import identity
@@ -191,6 +192,33 @@ def test_unconditional_random_suite_small():
         d = 2 + seed % 3
         rep = verify_unconditional(random_unconditional_body(d, seed))
         assert rep.ok, rep.failures()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unconditional_generator_emits_only_binding_rows(d):
+    trimmed = 0
+    for seed in range(200):
+        body, full = random_unconditional_body(d, seed), oracle.random_unconditional_body(d, seed)
+        assert (body.name, body.bounding_box) == (full.name, full.bounding_box)
+        assert len(body.lattice_points) == len(full.lattice_points)
+        assert volume(body).value == volume(full).value
+        if body.rows is None:
+            continue
+        trimmed += len(body.rows) < len(full.rows)
+        # every emitted row is a facet: its a / b is a vertex of the dual
+        dual = body.polar()
+        pts, _ = dual._vrep_scaled
+        assert len(pts) == len(body.rows)
+        assert oracle.hull_vertex_indices(pts, d, dual.facets) == list(range(len(pts)))
+    # in d = 1 the box and weighted rows share one normal, which from_hrep kept at the lower offset
+    assert (trimmed > 0) == (d > 1)
+
+
+def test_unconditional_generator_drops_the_box_rows_the_diamond_cuts():
+    # the diamond rows (±3, ±5) . x <= 15 bound x2 at 3, inside the box row x2 <= 8
+    normals = [(-3, -5), (-3, 5), (-1, 0), (1, 0), (3, -5), (3, 5)]
+    assert [a for a, _ in random_unconditional_body(2, 5).rows] == normals
+    assert [a for a, _ in oracle.random_unconditional_body(2, 5).rows] == sorted(normals + [(0, -1), (0, 1)])
 
 
 def _entry(rep, name):
